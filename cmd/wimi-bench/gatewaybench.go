@@ -61,10 +61,9 @@ func gatewayMicroBenchmarks() []benchMicro {
 		panic(err)
 	}
 	backend, err := serve.New(serve.Config{
-		Registry:    reg,
-		MaxBatch:    8,
-		BatchWindow: time.Millisecond,
-		QueueDepth:  256,
+		Registry:   reg,
+		MaxBatch:   8,
+		QueueDepth: 256,
 	})
 	if err != nil {
 		panic(err)
@@ -78,7 +77,6 @@ func gatewayMicroBenchmarks() []benchMicro {
 			Backends:      []string{backendTS.URL},
 			ProbeInterval: 50 * time.Millisecond,
 			BatchMax:      batchMax,
-			BatchLinger:   200 * time.Microsecond,
 		})
 		if err != nil {
 			panic(err)

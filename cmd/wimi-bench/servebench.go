@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -52,7 +51,6 @@ func serveMicroBenchmarks() []benchMicro {
 		s, err := serve.New(serve.Config{
 			Registry:     reg,
 			MaxBatch:     8,
-			BatchWindow:  time.Millisecond,
 			QueueDepth:   256,
 			VerdictCache: verdictCache,
 		})

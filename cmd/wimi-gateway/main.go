@@ -14,7 +14,7 @@
 //	wimi-serve -addr 127.0.0.1:8083 -model /models/lab.json &
 //	wimi-gateway -addr 127.0.0.1:8080 -expect-model /models/lab.json \
 //	  -backends http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083 \
-//	  -batch 8 -linger 200us
+//	  -batch 8
 //	curl -d @request.json localhost:8080/v1/identify
 //
 // -batch > 1 turns on the batched data plane: concurrent requests to the
@@ -68,7 +68,6 @@ func run(args []string, out *os.File) error {
 		hedgeAfter    = fs.Duration("hedge-after", 0, "fire a duplicate request at the next backend after this delay (0 disables)")
 		loadSlack     = fs.Int("load-slack", 2, "in-flight requests above the least-loaded backend before affinity spills")
 		batchMax      = fs.Int("batch", 1, "aggregate up to this many concurrent requests per backend into one upstream batch call; >1 also coalesces identical in-flight requests (1 disables)")
-		linger        = fs.Duration("linger", 0, "how long a non-full upstream batch waits for company (0 = dispatch immediately)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,7 +101,6 @@ func run(args []string, out *os.File) error {
 		HedgeDelay:      *hedgeAfter,
 		LoadSlack:       *loadSlack,
 		BatchMax:        *batchMax,
-		BatchLinger:     *linger,
 		Backoff:         resilience.BackoffConfig{Jitter: resilience.JitterFull},
 		Logf:            logger.Printf,
 	})

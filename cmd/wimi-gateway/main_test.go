@@ -163,7 +163,6 @@ func TestClusterSmoke(t *testing.T) {
 		"-retries", "4",
 		"-deadline", "5s",
 		"-batch", "8",
-		"-linger", "200us",
 	)
 	base := "http://" + gw.addr
 

@@ -118,7 +118,6 @@ func run(args []string, out *os.File) error {
 		quietLen  = fs.Int("quiet", 40, "quiet packets before each simulated target")
 		targetLen = fs.Int("target", 200, "target packets per simulated pass")
 		batchMax  = fs.Int("batch", 0, "max sessions per cross-stream classification batch (0 = default)")
-		linger    = fs.Duration("linger", 0, "how long a worker waits to fill a partial batch (0 = fire immediately)")
 		pprofAddr = fs.String("pprof", "", "serve pprof on this address (empty = disabled)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -146,7 +145,6 @@ func run(args []string, out *os.File) error {
 		Workers:          *workers,
 		PendingPerStream: *pending,
 		BatchMax:         *batchMax,
-		BatchLinger:      *linger,
 		ConfirmVerdicts:  *confirm,
 		ConfidenceFloor:  *floor,
 		EpochInterval:    *epoch,

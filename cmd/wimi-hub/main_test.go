@@ -179,7 +179,6 @@ func TestHubSmoke(t *testing.T) {
 		// Cross-stream batching explicitly on: convergence must hold when
 		// verdicts come out of shared classification batches.
 		"-batch", "8",
-		"-linger", "200us",
 	)
 	stdout, err := proc.StdoutPipe()
 	if err != nil {

@@ -47,16 +47,15 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("wimi-serve", flag.ContinueOnError)
 	var (
-		addr        = fs.String("addr", "127.0.0.1:8077", "listen address (port 0 picks a free port)")
-		modelPath   = fs.String("model", "", "model file or directory of model files (required)")
-		queueDepth  = fs.Int("queue", 64, "admission queue depth; beyond it requests shed with 429")
-		maxBatch    = fs.Int("batch", 8, "max requests coalesced into one batch")
-		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "how long a non-full batch waits for company")
-		deadline    = fs.Duration("deadline", 10*time.Second, "per-request deadline (queueing + pipeline)")
-		workers     = fs.Int("workers", 0, "pipeline workers per batch (0 = GOMAXPROCS)")
-		drainWait   = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
-		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
-		vcache      = fs.Int("verdict-cache", 0, "verdict-cache entries: identical captures replayed against the same model answer without re-running the pipeline (0 disables)")
+		addr       = fs.String("addr", "127.0.0.1:8077", "listen address (port 0 picks a free port)")
+		modelPath  = fs.String("model", "", "model file or directory of model files (required)")
+		queueDepth = fs.Int("queue", 64, "admission queue depth; beyond it requests shed with 429")
+		maxBatch   = fs.Int("batch", 8, "max requests coalesced into one batch")
+		deadline   = fs.Duration("deadline", 10*time.Second, "per-request deadline (queueing + pipeline)")
+		workers    = fs.Int("workers", 0, "pipeline workers per batch (0 = GOMAXPROCS)")
+		drainWait  = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
+		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
+		vcache     = fs.Int("verdict-cache", 0, "verdict-cache entries: identical captures replayed against the same model answer without re-running the pipeline (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,7 +70,6 @@ func run(args []string, out *os.File) error {
 	s, err := serve.New(serve.Config{
 		Registry:       reg,
 		MaxBatch:       *maxBatch,
-		BatchWindow:    *batchWindow,
 		QueueDepth:     *queueDepth,
 		Workers:        *workers,
 		RequestTimeout: *deadline,

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/csi"
 	"repro/internal/dwt"
 	"repro/internal/filter"
-	"repro/internal/mathx"
 )
 
 // DenoiseAmplitudeSeries applies the paper's two-step amplitude cleaning to
@@ -31,60 +29,4 @@ func DenoiseAmplitudeSeries(series []float64, cfg Config) ([]float64, error) {
 		return nil, fmt.Errorf("core: wavelet denoise: %w", err)
 	}
 	return out, nil
-}
-
-// AmplitudeRatio extracts the denoised mean inter-antenna amplitude ratio
-// at one subcarrier over a capture: both antennas' series are cleaned
-// independently, divided per packet, and averaged. This is the stable
-// amplitude quantity of Fig. 8.
-func AmplitudeRatio(c *csi.Capture, pair AntennaPair, sub int, cfg Config) (float64, error) {
-	sa, err := c.AmplitudeSeries(pair.A, sub)
-	if err != nil {
-		return 0, fmt.Errorf("core: antenna %d: %w", pair.A, err)
-	}
-	sb, err := c.AmplitudeSeries(pair.B, sub)
-	if err != nil {
-		return 0, fmt.Errorf("core: antenna %d: %w", pair.B, err)
-	}
-	da, err := DenoiseAmplitudeSeries(sa, cfg)
-	if err != nil {
-		return 0, err
-	}
-	db, err := DenoiseAmplitudeSeries(sb, cfg)
-	if err != nil {
-		return 0, err
-	}
-	ratios := make([]float64, 0, len(da))
-	for i := range da {
-		if db[i] <= 0 {
-			continue // a denoised zero: drop the sample rather than divide
-		}
-		ratios = append(ratios, da[i]/db[i])
-	}
-	if len(ratios) == 0 {
-		return 0, fmt.Errorf("core: no usable amplitude samples at subcarrier %d", sub)
-	}
-	if !cfg.DenoiseAmplitude {
-		// The raw arm of the Fig. 14 ablation: plain averaging, exactly
-		// what using the unprocessed readings means.
-		return mathx.Mean(ratios), nil
-	}
-	// Median, not mean: any impulse surviving the wavelet filter lands in
-	// only a packet or two of the capture and the median ignores it.
-	return mathx.Median(ratios), nil
-}
-
-// MeanPhaseDiff extracts the circular-mean inter-antenna phase difference
-// at one subcarrier over a capture — the ΔZ averaging of Eq. 6 ("removed by
-// averaging it over a time window").
-func MeanPhaseDiff(c *csi.Capture, pair AntennaPair, sub int) (float64, error) {
-	series, err := c.PhaseDiffSeries(pair.A, pair.B, sub)
-	if err != nil {
-		return 0, err
-	}
-	m := mathx.CircularMean(series)
-	if m != m { // NaN: balanced phasors
-		return 0, fmt.Errorf("core: phase difference has no defined mean at subcarrier %d", sub)
-	}
-	return m, nil
 }

@@ -179,8 +179,14 @@ func (pl *Pipeline) denoisedAmpSeries(c *csi.Capture, ant, sub, side int, cfg Co
 	return buf, nil
 }
 
-// amplitudeRatio mirrors AmplitudeRatio on pipeline scratch. side selects
-// the denoised-amplitude memo slot (0 target, 1 baseline); side -1 bypasses
+// amplitudeRatio extracts the denoised mean inter-antenna amplitude ratio
+// at one subcarrier over a capture, on pipeline scratch: both antennas'
+// series are cleaned independently, divided per packet, and averaged —
+// the stable amplitude quantity of Fig. 8. The median, not the mean,
+// averages the denoised ratios: an impulse surviving the wavelet filter
+// lands in only a packet or two and the median ignores it; the raw arm of
+// the Fig. 14 ablation averages plainly. side selects the
+// denoised-amplitude memo slot (0 target, 1 baseline); side -1 bypasses
 // the memo for callers outside a session extraction (public wrappers).
 func (pl *Pipeline) amplitudeRatio(c *csi.Capture, pair AntennaPair, sub int, cfg Config, side int) (float64, error) {
 	var denA, denB []float64
@@ -231,7 +237,9 @@ func (pl *Pipeline) amplitudeRatio(c *csi.Capture, pair AntennaPair, sub int, cf
 	return med, nil
 }
 
-// meanPhaseDiff mirrors MeanPhaseDiff on pipeline scratch.
+// meanPhaseDiff extracts the circular-mean inter-antenna phase difference
+// at one subcarrier over a capture, on pipeline scratch — the ΔZ averaging
+// of Eq. 6 ("removed by averaging it over a time window").
 func (pl *Pipeline) meanPhaseDiff(c *csi.Capture, pair AntennaPair, sub int) (float64, error) {
 	var err error
 	pl.phase, err = c.PhaseDiffSeriesInto(pl.phase, pair.A, pair.B, sub)

@@ -395,27 +395,6 @@ func TestGoodSubcarriersBeatExcludedOnVariance(t *testing.T) {
 	}
 }
 
-func TestMeanPhaseDiffStability(t *testing.T) {
-	// The circular mean over a capture must be far more stable than single
-	// packets (Eq. 6's averaging claim).
-	sc := simulate.Default()
-	session, err := simulate.Session(sc, 47)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := session.Baseline.PhaseDiffSeries(0, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, err := core.MeanPhaseDiff(&session.Baseline, core.AntennaPair{0, 1}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mathx.AngleDiff(mean, mathx.CircularMean(series))) > 1e-9 {
-		t.Error("MeanPhaseDiff should be the circular mean of the series")
-	}
-}
-
 // --- Degraded-mode pipeline (fault tolerance) ---
 
 // zeroAntennaInPlace kills one antenna's RF chain across a capture.

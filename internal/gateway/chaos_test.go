@@ -149,7 +149,6 @@ func (cb *chaosBackend) start(addr string) {
 		Registry:       cb.reg,
 		MaxBatch:       4,
 		QueueDepth:     32,
-		BatchWindow:    time.Millisecond,
 		RequestTimeout: 2 * time.Second,
 	})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -16,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/resilience"
 	"repro/internal/serve"
 	"repro/internal/testutil"
@@ -24,22 +22,120 @@ import (
 
 // startServeBackend runs a real serve.Server (batch endpoint included)
 // on an httptest listener — the clean-link counterpart of chaosBackend.
-func startServeBackend(t *testing.T, fx *clusterFixture) *httptest.Server {
+// A non-nil gate stalls its single /v1/identify path until opened.
+func startServeBackend(t *testing.T, fx *clusterFixture, gate *flushGate) *httptest.Server {
 	t.Helper()
 	s, err := serve.New(serve.Config{
 		Registry:       fx.registry,
 		MaxBatch:       8,
 		QueueDepth:     64,
-		BatchWindow:    time.Millisecond,
 		RequestTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Shutdown)
-	ts := httptest.NewServer(s.Handler())
+	h := s.Handler()
+	if gate != nil {
+		inner := h
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/identify" {
+				gate.wait()
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// flushGate stalls a backend's single /v1/identify path until opened. A
+// test uses it to occupy all of the gateway's in-flight flushes for that
+// backend with lone blocker requests, so a burst queues behind them and
+// forms upstream batches by construction.
+type flushGate struct {
+	arrived chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newFlushGate() *flushGate {
+	return &flushGate{arrived: make(chan struct{}, 256), release: make(chan struct{})}
+}
+
+// wait runs in the backend's single-path handler: it reports the arrival
+// and stalls until the gate opens.
+func (fg *flushGate) wait() {
+	select {
+	case fg.arrived <- struct{}{}:
+	default:
+	}
+	<-fg.release
+}
+
+func (fg *flushGate) open() { fg.once.Do(func() { close(fg.release) }) }
+
+// blockerBodies returns one distinct body per in-flight flush, for burst
+// to hold the flushes with.
+func blockerBodies() []string {
+	bodies := make([]string, upstreamInflight)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"blocker":%d}`, i)
+	}
+	return bodies
+}
+
+// reply is one client-visible answer: what byte-identity compares.
+type reply struct {
+	status int
+	model  string
+	body   []byte
+}
+
+// burst sends the first upstreamInflight reqs one at a time, each
+// stalling at the gate and so holding one of the backend's in-flight
+// flushes, then fires the rest concurrently, waits until ready reports
+// them queued behind the held flushes, and opens the gate. It returns
+// every request's reply.
+func (fg *flushGate) burst(t *testing.T, ts *httptest.Server, ready func() bool, reqs ...string) []reply {
+	t.Helper()
+	replies := make([]reply, len(reqs))
+	var wg sync.WaitGroup
+	post := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, body := postIdentify(t, ts, reqs[i])
+			replies[i] = reply{status: resp.StatusCode, model: resp.Header.Get(serve.ModelVersionHeader), body: body}
+		}()
+	}
+	fail := func(format string, args ...any) {
+		fg.open()
+		wg.Wait()
+		t.Fatalf(format, args...)
+	}
+	for i := 0; i < upstreamInflight; i++ {
+		post(i)
+		select {
+		case <-fg.arrived:
+		case <-time.After(10 * time.Second):
+			fail("blocker %d never reached the backend", i)
+		}
+	}
+	for i := upstreamInflight; i < len(reqs); i++ {
+		post(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !ready() {
+		if time.Now().After(deadline) {
+			fail("the burst never queued behind the held flushes")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	fg.open()
+	wg.Wait()
+	return replies
 }
 
 // TestBatchedRelayBitIdentical is the tentpole's correctness contract:
@@ -53,20 +149,19 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 	}
 	fx := newClusterFixture(t)
 	backends := []*httptest.Server{
-		startServeBackend(t, fx),
-		startServeBackend(t, fx),
-		startServeBackend(t, fx),
+		startServeBackend(t, fx, nil),
+		startServeBackend(t, fx, nil),
+		startServeBackend(t, fx, nil),
 	}
 	urls := []string{backends[0].URL, backends[1].URL, backends[2].URL}
 
-	newGW := func(batchMax int) (*Gateway, *httptest.Server) {
+	newGW := func(batchMax int, urls ...string) (*Gateway, *httptest.Server) {
 		g, err := New(Config{
 			Backends:        urls,
 			ExpectedVersion: fx.version,
 			ProbeInterval:   20 * time.Millisecond,
 			RequestTimeout:  5 * time.Second,
 			BatchMax:        batchMax,
-			BatchLinger:     2 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -74,17 +169,12 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 		t.Cleanup(g.Close)
 		ts := httptest.NewServer(g.Handler())
 		t.Cleanup(ts.Close)
-		waitRoutable(t, g, 3)
+		waitRoutable(t, g, len(urls))
 		return g, ts
 	}
 
-	type reference struct {
-		status int
-		model  string
-		body   []byte
-	}
-	_, refTS := newGW(1)
-	refs := make([]reference, len(fx.bodies))
+	_, refTS := newGW(1, urls...)
+	refs := make([]reply, len(fx.bodies))
 	for i, body := range fx.bodies {
 		resp, err := http.Post(refTS.URL+"/v1/identify", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -98,13 +188,26 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("reference request %d: status %d, body %s", i, resp.StatusCode, b)
 		}
-		refs[i] = reference{status: resp.StatusCode, model: resp.Header.Get(serve.ModelVersionHeader), body: b}
+		refs[i] = reply{status: resp.StatusCode, model: resp.Header.Get(serve.ModelVersionHeader), body: b}
+	}
+	same := func(t *testing.T, n int, got reply) {
+		t.Helper()
+		ref := refs[n]
+		if got.status != ref.status {
+			t.Errorf("body %d: status %d, unbatched path gave %d (%s)", n, got.status, ref.status, got.body)
+		}
+		if got.model != ref.model {
+			t.Errorf("body %d: model %q, unbatched path gave %q", n, got.model, ref.model)
+		}
+		if !bytes.Equal(got.body, ref.body) {
+			t.Errorf("body %d: batched response differs from unbatched:\n got:  %q\n want: %q", n, got.body, ref.body)
+		}
 	}
 
 	for _, workers := range []int{1, 4} {
 		for _, size := range []int{1, 3, 8} {
 			t.Run(fmt.Sprintf("workers=%d/batch=%d", workers, size), func(t *testing.T) {
-				_, ts := newGW(size)
+				_, ts := newGW(size, urls...)
 				// 3 rounds over every body: duplicates within a burst
 				// exercise coalescing, distinct bodies exercise batching.
 				total := 3 * len(fx.bodies)
@@ -132,16 +235,7 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 								t.Errorf("body %d: reading response: %v", n, rerr)
 								continue
 							}
-							ref := refs[n]
-							if resp.StatusCode != ref.status {
-								t.Errorf("body %d: status %d, unbatched path gave %d (%s)", n, resp.StatusCode, ref.status, b)
-							}
-							if got := resp.Header.Get(serve.ModelVersionHeader); got != ref.model {
-								t.Errorf("body %d: model %q, unbatched path gave %q", n, got, ref.model)
-							}
-							if !bytes.Equal(b, ref.body) {
-								t.Errorf("body %d: batched response differs from unbatched:\n got:  %q\n want: %q", n, b, ref.body)
-							}
+							same(t, n, reply{status: resp.StatusCode, model: resp.Header.Get(serve.ModelVersionHeader), body: b})
 						}
 					}()
 				}
@@ -149,6 +243,43 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 			})
 		}
 	}
+
+	// The matrix cannot promise that a batch forms. Here one does by
+	// construction: the first bodies hold the backend's in-flight flushes,
+	// and 3 rounds over every body wait behind them — copies of the held
+	// bodies coalesce onto them, each other body leads one queued slot,
+	// and its copies coalesce onto that leader.
+	t.Run("held", func(t *testing.T) {
+		leaders := len(fx.bodies) - upstreamInflight
+		if leaders < 2 {
+			t.Fatalf("%d bodies leave %d to queue behind %d flushes; a batch needs 2", len(fx.bodies), leaders, upstreamInflight)
+		}
+		gate := newFlushGate()
+		held := startServeBackend(t, fx, gate)
+		g, ts := newGW(8, held.URL)
+		var reqs []string
+		var idx []int
+		for n, body := range fx.bodies[:upstreamInflight] {
+			reqs = append(reqs, string(body))
+			idx = append(idx, n)
+		}
+		for round := 0; round < 3; round++ {
+			for n, body := range fx.bodies {
+				reqs = append(reqs, string(body))
+				idx = append(idx, n)
+			}
+		}
+		followers := uint64(len(reqs) - upstreamInflight - leaders)
+		ready := func() bool {
+			return g.backends[0].batcher.QueueLen() == leaders && g.Stats().Coalesced == followers
+		}
+		for i, got := range gate.burst(t, ts, ready, reqs...) {
+			same(t, idx[i], got)
+		}
+		if st := g.Stats(); st.BatchSizes[leaders-1] == 0 {
+			t.Errorf("the %d queued leaders did not flush as one batch: %v", leaders, st.BatchSizes)
+		}
+	})
 }
 
 // TestCoalescingSharesOneUpstream pins the dedup contract: identical
@@ -156,15 +287,28 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 // the leader's bytes and count as coalesced.
 func TestCoalescingSharesOneUpstream(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t, 3))
+	const clients = 8
+	gate := newFlushGate()
 	slow := newFakeBackend(t, "sha256:aaa", "water")
 	slow.setIdentify(func(w http.ResponseWriter, r *http.Request) bool {
-		time.Sleep(100 * time.Millisecond)
+		gate.wait()
 		writeIdentifyOK(w, "water", "sha256:aaa")
 		return true
 	})
-	g, ts := newTestGateway(t, Config{BatchMax: 8, BatchLinger: time.Millisecond}, slow)
+	g, ts := newTestGateway(t, Config{BatchMax: 8}, slow)
+	// The leader's upstream call stalls until every other client has
+	// joined it as a follower.
+	go func() {
+		for g.Stats().Coalesced < clients-1 {
+			select {
+			case <-gate.release:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		gate.open()
+	}()
 
-	const clients = 8
 	var wg sync.WaitGroup
 	bodies := make([][]byte, clients)
 	statuses := make([]int, clients)
@@ -188,11 +332,11 @@ func TestCoalescingSharesOneUpstream(t *testing.T) {
 		}
 	}
 	st := g.Stats()
-	if st.Coalesced == 0 {
-		t.Error("no requests coalesced despite identical in-flight bodies")
+	if st.Coalesced != clients-1 {
+		t.Errorf("coalesced=%d, want %d followers of one leader", st.Coalesced, clients-1)
 	}
-	if n := slow.identifies.Load(); n >= clients {
-		t.Errorf("backend saw %d identifies for %d identical requests; coalescing not working", n, clients)
+	if n := slow.identifies.Load(); n != 1 {
+		t.Errorf("backend saw %d identifies for %d identical requests, want 1", n, clients)
 	}
 	if st.Proxied != clients {
 		t.Errorf("proxied=%d, want %d (every client answered once)", st.Proxied, clients)
@@ -205,34 +349,38 @@ func TestCoalescingSharesOneUpstream(t *testing.T) {
 // via single relays, and the gateway remembers not to batch at it again.
 func TestBatchFallbackWhenBackendHasNoBatchRoute(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t, 3))
+	gate := newFlushGate()
 	f := newFakeBackend(t, "sha256:aaa", "water")
 	f.setIdentify(func(w http.ResponseWriter, r *http.Request) bool {
-		time.Sleep(20 * time.Millisecond) // hold requests in flight so they batch
+		gate.wait()
 		writeIdentifyOK(w, "water", "sha256:aaa")
 		return true
 	})
-	g, ts := newTestGateway(t, Config{BatchMax: 4, BatchLinger: 20 * time.Millisecond}, f)
+	g, ts := newTestGateway(t, Config{BatchMax: 4}, f)
 
-	const clients = 8
-	var wg sync.WaitGroup
-	var okCount atomic.Int64
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			resp, body := postIdentify(t, ts, fmt.Sprintf(`{"distinct":%d}`, c))
-			if resp.StatusCode == http.StatusOK {
-				okCount.Add(1)
-			} else {
-				t.Errorf("client %d: status %d, body %s", c, resp.StatusCode, body)
-			}
-		}(c)
+	// Blockers hold the flushes; the other distinct requests queue behind
+	// them and flush as batches the backend cannot take. Queued calls
+	// count as backend load beside the ones on the wire.
+	reqs := make([]string, 8)
+	for c := range reqs {
+		reqs[c] = fmt.Sprintf(`{"distinct":%d}`, c)
 	}
-	wg.Wait()
-	if okCount.Load() != clients {
-		t.Fatalf("%d/%d requests succeeded", okCount.Load(), clients)
+	b := g.backends[0]
+	queued := func() bool {
+		return b.batcher.QueueLen() == len(reqs)-upstreamInflight && b.inflight.Load() == int64(len(reqs))
 	}
-	if !g.backends[0].noBatch.Load() {
+	for c, got := range gate.burst(t, ts, queued, reqs...) {
+		if got.status != http.StatusOK {
+			t.Errorf("client %d: status %d, body %s", c, got.status, got.body)
+		}
+	}
+	if n := b.inflight.Load(); n != 0 {
+		t.Errorf("backend load %d after every request was answered, want 0", n)
+	}
+	if st := g.Stats(); st.BatchesSent == 0 {
+		t.Fatalf("no upstream batch was attempted: %v", st.BatchSizes)
+	}
+	if !b.noBatch.Load() {
 		t.Error("gateway never marked the batchless backend noBatch")
 	}
 	// A second burst must go straight down the single path — still fine.
@@ -255,7 +403,7 @@ func writeBatchOK(w http.ResponseWriter, out serve.BatchIdentifyResponse) {
 
 // TestBatchPartialFailureSplitsPerSlot pins per-slot retry isolation: a
 // batch where one slot fails 5xx must not poison its co-riders, and the
-// failed slot's request retries on another backend down the single path.
+// failed slot's request retries alone down the single path.
 func TestBatchPartialFailureSplitsPerSlot(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t, 3))
 
@@ -268,9 +416,10 @@ func TestBatchPartialFailureSplitsPerSlot(t *testing.T) {
 	flakyMux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "modelVersion": "sha256:aaa"})
 	})
+	gate := newFlushGate()
 	flakyMux.HandleFunc("POST /v1/identify", func(w http.ResponseWriter, r *http.Request) {
 		flaky.identifies.Add(1)
-		time.Sleep(20 * time.Millisecond)
+		gate.wait()
 		writeIdentifyOK(w, "water", "sha256:aaa")
 	})
 	flakyMux.HandleFunc("POST /v1/identify/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -296,43 +445,33 @@ func TestBatchPartialFailureSplitsPerSlot(t *testing.T) {
 	healthy := newFakeBackend(t, "sha256:aaa", "water")
 	g, ts := newTestGateway(t, Config{
 		BatchMax:    4,
-		BatchLinger: 25 * time.Millisecond,
 		LoadSlack:   100,
 		MaxAttempts: 4,
 	}, flaky, healthy)
 	waitRoutable(t, g, 2)
 
-	// Fire a burst that lands on the flaky backend together: one poisoned
-	// slot among clean ones. Every request must still end 200.
-	const clients = 4
-	bodies := []string{`{"clean":1}`, `{"poison":true}`, `{"clean":2}`, `{"clean":3}`}
-	// Pin all bodies to the flaky backend by making it the only routable
-	// one for the first attempt: penalise the healthy backend briefly.
-	healthyBackend := g.backends[0]
-	if healthyBackend.url == flaky.url() {
-		healthyBackend = g.backends[1]
+	// Pin every request to the flaky backend by making it the only
+	// routable one: penalise the healthy backend for the whole test.
+	flakyBackend, healthyBackend := g.backends[0], g.backends[1]
+	if flakyBackend.url != flaky.url() {
+		flakyBackend, healthyBackend = healthyBackend, flakyBackend
 	}
-	healthyBackend.penalise(g.clock.Now(), 150*time.Millisecond)
+	healthyBackend.penalise(g.clock.Now(), time.Minute)
 
-	var wg sync.WaitGroup
-	results := make([]int, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			resp, body := postIdentify(t, ts, bodies[c])
-			results[c] = resp.StatusCode
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("client %d (%s): status %d, body %s", c, bodies[c], resp.StatusCode, body)
-			}
-		}(c)
+	// Blockers hold the flushes; the burst behind them batches as one
+	// upstream call with one poisoned slot among clean ones. Every request
+	// must still end 200.
+	reqs := append(blockerBodies(), `{"clean":1}`, `{"poison":true}`, `{"clean":2}`, `{"clean":3}`)
+	queued := func() bool { return flakyBackend.batcher.QueueLen() == 4 }
+	for c, got := range gate.burst(t, ts, queued, reqs...) {
+		if got.status != http.StatusOK {
+			t.Errorf("client %d (%s): status %d, body %s", c, reqs[c], got.status, got.body)
+		}
 	}
-	wg.Wait()
-	if batchCalls.Load() == 0 {
-		t.Error("no upstream batch call happened; the burst never batched")
+	if batchCalls.Load() != 1 {
+		t.Errorf("%d upstream batch calls, want the burst as exactly one", batchCalls.Load())
 	}
-	// The poisoned slot retried somewhere: either the healthy backend's
-	// single path (after its penalty lapsed) or the flaky one's.
+	// The poisoned slot retried down the flaky backend's single path.
 	if g.Stats().Retried == 0 {
 		t.Error("poisoned slot never retried")
 	}
@@ -355,9 +494,10 @@ func TestMalformedBodyDoesNotPoisonBatch(t *testing.T) {
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "modelVersion": "sha256:aaa"})
 	})
+	gate := newFlushGate()
 	mux.HandleFunc("POST /v1/identify", func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
-		time.Sleep(20 * time.Millisecond) // hold singles in flight so valid bodies batch
+		gate.wait()
 		if !json.Valid(body) {
 			httpError(w, http.StatusBadRequest, "malformed request body")
 			return
@@ -380,36 +520,26 @@ func TestMalformedBodyDoesNotPoisonBatch(t *testing.T) {
 	})
 	f.ts.Config.Handler = mux
 
-	g, ts := newTestGateway(t, Config{BatchMax: 8, BatchLinger: 25 * time.Millisecond}, f)
+	g, ts := newTestGateway(t, Config{BatchMax: 8}, f)
 
-	// "{},{}" would smuggle an extra slot into the envelope; the truncated
-	// object would make the whole envelope unparseable.
-	bodies := []string{
-		`{"clean":1}`, `{},{}`, `{"clean":2}`, `{"unterminated":`, `{"clean":3}`, `{"clean":4}`,
-	}
-	statuses := make([]int, len(bodies))
-	var wg sync.WaitGroup
-	for i, body := range bodies {
-		wg.Add(1)
-		go func(i int, body string) {
-			defer wg.Done()
-			resp, _ := postIdentify(t, ts, body)
-			statuses[i] = resp.StatusCode
-		}(i, body)
-	}
-	wg.Wait()
-
-	for i, body := range bodies {
+	// Blockers hold the flushes. Behind them, "{},{}" would smuggle an
+	// extra slot into the envelope and the truncated object would make the
+	// whole envelope unparseable; both relay singly instead, while the
+	// four valid bodies queue and flush as one batch.
+	bodies := append(blockerBodies(),
+		`{"clean":1}`, `{},{}`, `{"clean":2}`, `{"unterminated":`, `{"clean":3}`, `{"clean":4}`)
+	queued := func() bool { return g.backends[0].batcher.QueueLen() == 4 }
+	for i, got := range gate.burst(t, ts, queued, bodies...) {
 		want := http.StatusOK
-		if !json.Valid([]byte(body)) {
+		if !json.Valid([]byte(bodies[i])) {
 			want = http.StatusBadRequest
 		}
-		if statuses[i] != want {
-			t.Errorf("body %q: status %d, want %d", body, statuses[i], want)
+		if got.status != want {
+			t.Errorf("body %q: status %d, want %d", bodies[i], got.status, want)
 		}
 	}
-	if batchCalls.Load() == 0 {
-		t.Error("no upstream batch call happened; the valid bodies never batched")
+	if batchCalls.Load() != 1 {
+		t.Errorf("%d upstream batch calls, want the four valid bodies as exactly one", batchCalls.Load())
 	}
 	st := g.Stats()
 	if st.Failed != 0 {
@@ -441,8 +571,10 @@ func TestOversizedBatchSplitsEnvelope(t *testing.T) {
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "modelVersion": "sha256:aaa"})
 	})
+	gate := newFlushGate()
 	mux.HandleFunc("POST /v1/identify", func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(io.Discard, r.Body)
+		gate.wait()
 		writeIdentifyOK(w, "water", "sha256:aaa")
 	})
 	mux.HandleFunc("POST /v1/identify/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -468,83 +600,83 @@ func TestOversizedBatchSplitsEnvelope(t *testing.T) {
 
 	g, ts := newTestGateway(t, Config{
 		BatchMax:     8,
-		BatchLinger:  25 * time.Millisecond,
 		MaxBodyBytes: maxBody,
 	}, f)
 
-	// Six ~1.5 KiB bodies (at most two share a 4 KiB envelope) plus one
-	// near the ingress limit (fits no envelope at all: single path).
+	// Behind blockers holding the flushes: six ~1.5 KiB bodies (at most
+	// two share a 4 KiB envelope) plus one near the ingress limit (fits no
+	// envelope at all: single path), all flushed together.
 	pad := strings.Repeat("x", 1500)
-	bodies := make([]string, 0, 7)
+	bodies := blockerBodies()
 	for i := 0; i < 6; i++ {
 		bodies = append(bodies, fmt.Sprintf(`{"id":%d,"pad":%q}`, i, pad))
 	}
 	bodies = append(bodies, fmt.Sprintf(`{"id":6,"pad":%q}`, strings.Repeat("y", maxBody-100)))
 
-	var wg sync.WaitGroup
-	for i, body := range bodies {
-		wg.Add(1)
-		go func(i int, body string) {
-			defer wg.Done()
-			resp, b := postIdentify(t, ts, body)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("body %d: status %d, body %s", i, resp.StatusCode, b)
-			}
-		}(i, body)
+	queued := func() bool { return g.backends[0].batcher.QueueLen() == 7 }
+	for i, got := range gate.burst(t, ts, queued, bodies...) {
+		if got.status != http.StatusOK {
+			t.Errorf("body %d: status %d, body %s", i, got.status, got.body)
+		}
 	}
-	wg.Wait()
 
 	if oversized.Load() != 0 {
 		t.Errorf("%d envelopes exceeded the backend limit", oversized.Load())
+	}
+	// However the seven queued, the six small bodies hold a run of at
+	// least three, which flushes at least one two-slot envelope.
+	if batchCalls.Load() == 0 {
+		t.Error("no upstream batch call happened; the burst never batched")
 	}
 	if st := g.Stats(); st.Failed != 0 || st.Retried != 0 {
 		t.Errorf("failed=%d retried=%d: oversized envelopes forced retries", st.Failed, st.Retried)
 	}
 }
 
-// TestGatewayShutdownMidBatchAnswers503NoLeak drives batches into a
-// stalled backend (faults.WrapConn stalling every conn op), closes the
-// gateway with slots mid-flight, and requires every client to get an
-// answer (503 — the deadline expired, never a hang) with zero goroutines
-// left behind.
+// TestGatewayShutdownMidBatchAnswers503NoLeak closes the gateway while
+// all of a backend's in-flight flushes are upstream batch envelopes that
+// the backend stalls past the request budget, with more calls queued
+// behind them. Every caught client must get an answer (503 — the deadline
+// expired — or 429, never a hang) and no goroutine may be left behind.
 func TestGatewayShutdownMidBatchAnswers503NoLeak(t *testing.T) {
 	leakCheck := testutil.LeakCheck(t, 3)
 
+	// Blockers hold every flush at the gate; riders queue behind them and,
+	// once the gate opens, leave as envelopes of 4 (one per flush but the
+	// last) and 2, which stall upstream; two late calls then queue behind
+	// those.
+	const batchMax = 4
+	const blockers, riders, late = upstreamInflight, batchMax*(upstreamInflight-1) + 2, 2
+	gate := newFlushGate()
+	envelopes := make(chan struct{}, upstreamInflight+1)
+	stop := make(chan struct{})
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "modelVersion": "sha256:aaa"})
 	})
 	mux.HandleFunc("POST /v1/identify", func(w http.ResponseWriter, r *http.Request) {
+		gate.wait()
 		writeIdentifyOK(w, "water", "sha256:aaa")
 	})
 	mux.HandleFunc("POST /v1/identify/batch", func(w http.ResponseWriter, r *http.Request) {
-		writeBatchOK(w, serve.BatchIdentifyResponse{})
+		_, _ = io.Copy(io.Discard, r.Body) // a read body lets the server see the gateway hang up
+		envelopes <- struct{}{}
+		select {
+		case <-r.Context().Done():
+		case <-stop:
+		}
 	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := &faultyListener{Listener: ln, profile: faults.Profile{
-		Name:          "stall-everything",
-		StallProb:     1,
-		StallDuration: 250 * time.Millisecond,
-	}}
-	backendSrv := &http.Server{Handler: mux}
-	backendDone := make(chan struct{})
-	go func() {
-		_ = backendSrv.Serve(fl)
-		close(backendDone)
-	}()
+	backend := httptest.NewServer(mux)
 
 	g, err := New(Config{
-		Backends:       []string{"http://" + ln.Addr().String()},
+		Backends:       []string{backend.URL},
 		ProbeInterval:  25 * time.Millisecond,
-		ProbeTimeout:   5 * time.Second, // probes survive the stalls
-		RequestTimeout: 300 * time.Millisecond,
+		RequestTimeout: 2 * time.Second,
 		MaxAttempts:    2,
-		BatchMax:       4,
-		BatchLinger:    10 * time.Millisecond,
-		Backoff:        resilience.BackoffConfig{Initial: time.Millisecond, Max: 5 * time.Millisecond},
+		BatchMax:       batchMax,
+		// The stalled envelopes are the point; they must not trip it.
+		Breaker: resilience.BreakerConfig{FailureThreshold: 100},
+		Backoff: resilience.BackoffConfig{Initial: time.Millisecond, Max: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -552,41 +684,87 @@ func TestGatewayShutdownMidBatchAnswers503NoLeak(t *testing.T) {
 	ts := httptest.NewServer(g.Handler())
 	waitRoutable(t, g, 1)
 
-	const clients = 6
+	status := make([]int, blockers+riders+late)
 	var wg sync.WaitGroup
-	var answered, hung atomic.Int64
-	for c := 0; c < clients; c++ {
+	post := func(i int) {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
-			client := &http.Client{Timeout: 5 * time.Second}
+			client := &http.Client{Timeout: 10 * time.Second}
 			defer client.CloseIdleConnections()
 			resp, err := client.Post(ts.URL+"/v1/identify", "application/json",
-				bytes.NewReader([]byte(fmt.Sprintf(`{"stalled":%d}`, c))))
+				strings.NewReader(fmt.Sprintf(`{"client":%d}`, i)))
 			if err != nil {
-				hung.Add(1)
-				t.Errorf("client %d: transport error through clean link: %v", c, err)
+				t.Errorf("client %d: %v", i, err)
 				return
 			}
-			body, _ := io.ReadAll(resp.Body)
+			_, _ = io.Copy(io.Discard, resp.Body)
 			_ = resp.Body.Close()
-			answered.Add(1)
-			if resp.StatusCode != http.StatusServiceUnavailable && resp.StatusCode != http.StatusTooManyRequests {
-				t.Errorf("client %d: status %d (%s), want 503/429 from the stalled cluster", c, resp.StatusCode, body)
-			}
-		}(c)
+			status[i] = resp.StatusCode
+		}()
 	}
+	waitFor := func(what string, done func() bool) {
+		deadline := time.Now().Add(time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				gate.open()
+				g.Close()
+				wg.Wait()
+				t.Fatalf("%s never happened", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	b := g.backends[0]
+	for i := 0; i < blockers; i++ {
+		post(i)
+		waitFor(fmt.Sprintf("blocker %d reaching the backend", i), func() bool {
+			select {
+			case <-gate.arrived:
+				return true
+			default:
+				return false
+			}
+		})
+	}
+	for i := blockers; i < blockers+riders; i++ {
+		post(i)
+	}
+	waitFor("the riders queueing behind the held flushes", func() bool { return b.batcher.QueueLen() == riders })
+	gate.open()
+	sent := 0
+	waitFor("every envelope reaching the backend", func() bool {
+		select {
+		case <-envelopes:
+			sent++
+		default:
+		}
+		return sent == upstreamInflight
+	})
+	if st := g.Stats(); st.BatchesSent != upstreamInflight || st.BatchSizes[1] != 1 || st.BatchSizes[batchMax-1] != upstreamInflight-1 {
+		t.Errorf("want %d envelopes in flight, %d of 4 and one of 2; got %d, sizes %v",
+			upstreamInflight, upstreamInflight-1, st.BatchesSent, st.BatchSizes)
+	}
+	for i := blockers + riders; i < len(status); i++ {
+		post(i)
+	}
+	waitFor("the late calls queueing behind the stalled envelopes", func() bool { return b.batcher.QueueLen() == late })
 
-	// Begin the shutdown while slots are mid-flight.
-	time.Sleep(50 * time.Millisecond)
 	g.Close()
 	wg.Wait()
-	if answered.Load() != clients {
-		t.Errorf("%d/%d clients answered (hung=%d)", answered.Load(), clients, hung.Load())
+	for i, code := range status {
+		switch {
+		case i < blockers:
+			if code != http.StatusOK {
+				t.Errorf("blocker %d: status %d, want 200", i, code)
+			}
+		case code != http.StatusServiceUnavailable && code != http.StatusTooManyRequests:
+			t.Errorf("client %d: status %d, want 503/429 from the stalled backend", i, code)
+		}
 	}
 
 	ts.Close()
-	_ = backendSrv.Close()
-	<-backendDone
+	close(stop)
+	backend.Close()
 	leakCheck()
 }

@@ -86,10 +86,6 @@ type Config struct {
 	// Default 1 (off): every request relays individually, exactly the
 	// pre-batching data plane.
 	BatchMax int
-	// BatchLinger is how long a non-full upstream batch waits for company
-	// (0 = dispatch immediately with whatever is queued). Only meaningful
-	// with BatchMax > 1.
-	BatchLinger time.Duration
 	// MaxBodyBytes bounds the request body (default 16 MiB).
 	MaxBodyBytes int64
 	// Client overrides the backend HTTP client (tests).
@@ -139,9 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchMax <= 0 {
 		c.BatchMax = 1
 	}
-	if c.BatchLinger < 0 {
-		c.BatchLinger = 0
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
 	}
@@ -180,7 +173,8 @@ type Stats struct {
 	BatchesSent uint64 `json:"batchesSent"`
 	// BatchSizes[i] counts upstream flushes that carried i+1 slots
 	// (single-slot flushes travel the plain relay path but still count
-	// here — mass at index 0 means the linger window never coalesced).
+	// here — mass at index 0 means every request found a flush slot free,
+	// so none ever queued behind another).
 	BatchSizes []uint64 `json:"batchSizes,omitempty"`
 	// UpstreamConns counts connections obtained for upstream data-plane
 	// calls; UpstreamConnsReused is how many of those came warm from the
@@ -218,7 +212,6 @@ type Gateway struct {
 	upstreamConns  atomic.Uint64
 	upstreamReused atomic.Uint64
 	connTrace      *httptrace.ClientTrace
-	flushWG        sync.WaitGroup
 
 	cmu      sync.Mutex
 	inflight map[coalesceKey]*inflightCall
@@ -331,7 +324,7 @@ func (g *Gateway) Stats() Stats {
 
 // Close begins the drain (readyz goes not-ready, new identifies are
 // refused) and stops the probe loop. Queued upstream batches flush —
-// their riders are answered, not stranded — and the flush goroutines are
+// their riders are answered, not stranded — and the in-flight flushes are
 // waited for; in-flight single relays finish under their own budgets.
 func (g *Gateway) Close() {
 	if g.draining.Swap(true) {
@@ -344,7 +337,6 @@ func (g *Gateway) Close() {
 			b.batcher.Close()
 		}
 	}
-	g.flushWG.Wait()
 	g.client.CloseIdleConnections()
 }
 

@@ -6,10 +6,13 @@
 //     elect a leader; followers wait for the leader's answer and share
 //     its bytes. One upstream call amortises across N clients.
 //   - Upstream micro-batching: distinct concurrent requests routed to
-//     the same backend aggregate — bounded by BatchMax, lingering at
-//     most BatchLinger — into one POST /v1/identify/batch, so the
-//     backend admits and classifies them as one blocked batch instead
-//     of N racing singles.
+//     the same backend aggregate — bounded by BatchMax — into one POST
+//     /v1/identify/batch, so the backend admits and classifies them as
+//     one blocked batch instead of N racing singles. Batching is
+//     opportunistic: at most upstreamInflight flushes per backend are in
+//     flight, a request that finds a flush slot free goes upstream at
+//     once, and requests that arrive while all are busy form the next
+//     batch.
 //
 // Failure stays per-slot: a batch-level error or a retryable slot answer
 // is delivered to that slot's own routing loop, which carries on with
@@ -56,17 +59,19 @@ type upstreamResult struct {
 	err error
 }
 
-// startBatcher wires b's upstream micro-batcher. The dispatcher hands
-// each drained batch to a flush goroutine so a slow backend only stalls
-// its own flushes, never the collection of the next batch.
+// upstreamInflight bounds the flushes in flight per backend. Serve decodes
+// requests on every core while its dispatcher runs a batch, so a backend
+// keeps more than one flush busy: on a 2-vCPU host (three backends, eight
+// closed-loop clients, distinct bodies) a bound of 2 raised p90 and p99 by
+// about 10% against unbounded flushing, while 3, 4 and 8 did not. A slow
+// backend stalls only its own flushes; its queue keeps collecting the
+// next batch, and sheds to the single path once full.
+const upstreamInflight = 4
+
+// startBatcher wires b's upstream micro-batcher.
 func (g *Gateway) startBatcher(b *backend) {
-	batcher, err := parallel.NewBatcher(g.cfg.BatchMax*8, g.cfg.BatchMax, g.cfg.BatchLinger,
-		func(batch []*upstreamCall) {
-			calls := make([]*upstreamCall, len(batch))
-			copy(calls, batch)
-			g.flushWG.Add(1)
-			go g.flushBatch(b, calls)
-		})
+	batcher, err := parallel.NewBatcher(g.cfg.BatchMax*8, g.cfg.BatchMax, upstreamInflight,
+		func(batch []*upstreamCall) { g.flushBatch(b, batch) })
 	if err != nil {
 		// Config was defaulted to sane values; this cannot happen.
 		panic(err)
@@ -86,8 +91,13 @@ func (g *Gateway) sendBatched(ctx context.Context, b *backend, body *pooledBody)
 	}
 	call := &upstreamCall{ctx: ctx, body: body, done: make(chan upstreamResult, 1)}
 	body.retain() // the flush's reference; released by flushBatch
+	// A call queued behind the in-flight flushes is load on b as much as
+	// one on the wire, so LoadSlack spillover counts it; flushBatch hands
+	// the count back once a dispatcher takes the call.
+	b.inflight.Add(1)
 	if b.batcher.Submit(call) != nil {
 		// Saturated or draining: the single path still works.
+		b.inflight.Add(-1)
 		body.release()
 		return g.send(ctx, b, body)
 	}
@@ -108,7 +118,7 @@ func (g *Gateway) sendBatched(ctx context.Context, b *backend, body *pooledBody)
 // envelope-sized chunks, a chunk of one travels the plain single-relay
 // path, and two or more go upstream as one batch call.
 func (g *Gateway) flushBatch(b *backend, calls []*upstreamCall) {
-	defer g.flushWG.Done()
+	b.inflight.Add(-int64(len(calls))) // send and sendBatchUpstream count them from here
 	defer func() {
 		// The submit-time references: past this point the flush can no
 		// longer read any rider's body.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/csi"
@@ -24,7 +23,7 @@ type verdictRec struct {
 }
 
 // TestBatchedVerdictsBitIdenticalSequential pins the tentpole's correctness
-// contract: whatever the worker count, batch size, and linger, the hub's
+// contract: whatever the worker count and batch size, the hub's
 // cross-stream batched, baseline-cached identification delivers — per
 // stream, in emission order — exactly the verdict sequence a sequential,
 // uncached IdentifyDetailedP over the same segmented sessions produces.
@@ -80,30 +79,43 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
+		name              string
 		workers, batchMax int
-		linger            bool
+		held              bool
 	}{
-		{workers: 1, batchMax: 1},
-		{workers: 1, batchMax: 8},
-		{workers: 4, batchMax: 1},
-		{workers: 4, batchMax: 3},
-		{workers: 4, batchMax: 8},
-		{workers: 4, batchMax: 8, linger: true},
+		{"workers=1,batch=1,linger=false", 1, 1, false},
+		{"workers=1,batch=8,linger=false", 1, 8, false},
+		{"workers=4,batch=1,linger=false", 4, 1, false},
+		{"workers=4,batch=3,linger=false", 4, 3, false},
+		{"workers=4,batch=8,linger=false", 4, 8, false},
+		{"workers=1,batch=8,held", 1, 8, true},
 	} {
-		name := fmt.Sprintf("workers=%d,batch=%d,linger=%v", tc.workers, tc.batchMax, tc.linger)
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
 			got := make(map[string][]verdictRec)
 			cfg := testConfig(t)
 			cfg.Segment = batchTestSegment
 			cfg.Workers = tc.workers
 			cfg.BatchMax = tc.batchMax
-			if tc.linger {
-				cfg.BatchLinger = 200 * time.Microsecond
-			}
 			// Deep pending rings: shedding would make the verdict sequence
 			// load-dependent, and this drill pins determinism.
 			cfg.PendingPerStream = 64
+			// The held arm wedges the single worker on its first stream
+			// until every packet is fed, so every stream is dirty when it
+			// resumes and cross-stream batches form by construction. With
+			// one worker, a batch of k is k holds before the next verdict.
+			fed := make(chan struct{})
+			var holdOnce sync.Once
+			run, largest := 0, 0
+			if tc.held {
+				cfg.testHold = func(string) {
+					holdOnce.Do(func() { <-fed })
+					mu.Lock()
+					run++
+					largest = max(largest, run)
+					mu.Unlock()
+				}
+			}
 			cfg.testVerdict = func(streamID string, det core.Detail, err error) {
 				rec := verdictRec{det: det}
 				if err != nil {
@@ -111,6 +123,7 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 				}
 				mu.Lock()
 				got[streamID] = append(got[streamID], rec)
+				run = 0
 				mu.Unlock()
 			}
 			h, err := New(cfg)
@@ -126,19 +139,24 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 				sts[i] = st
 			}
 			// Interleave ingest round-robin packet-by-packet: different
-			// streams go dirty together, so the collector actually forms
-			// cross-stream batches while workers race the feeder.
+			// streams go dirty together, so free workers race the feeder
+			// for whatever is dirty.
 			for p := 0; p < len(pkts[0]); p++ {
 				for i, st := range sts {
 					if err := st.feed(pkts[i][p]); err != nil {
+						close(fed)
 						t.Fatal(err)
 					}
 				}
 			}
+			close(fed)
 			h.Close() // drain every pending session
 
 			mu.Lock()
 			defer mu.Unlock()
+			if tc.held && largest < 2 {
+				t.Fatalf("no cross-stream batch formed behind the held worker (largest %d)", largest)
+			}
 			for i := range sts {
 				g := got[names[i]]
 				if len(g) != len(want[i]) {

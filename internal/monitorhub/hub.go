@@ -56,14 +56,11 @@ type Config struct {
 	Workers int
 	// BatchMax bounds how many distinct dirty streams one worker drains
 	// into a single batched classification (core.IdentifyDetailedBatchP:
-	// per-capture DSP + one blocked SVM predict). 1 disables cross-stream
-	// batching (default 8).
+	// per-capture DSP + one blocked SVM predict). A free worker never
+	// waits for company: it classifies whatever is dirty, so batches form
+	// only from streams that went dirty while every worker was busy.
+	// 1 disables cross-stream batching (default 8).
 	BatchMax int
-	// BatchLinger is how long a worker holding a non-empty, non-full batch
-	// waits for more dirty streams before classifying — the bounded flush
-	// that keeps a lone stream from waiting on a batch that will never
-	// fill. Default 0: classify immediately with whatever is dirty.
-	BatchLinger time.Duration
 	// PendingPerStream bounds each stream's ring of sessions awaiting
 	// identification; overflow sheds the oldest (default 2).
 	PendingPerStream int
@@ -203,9 +200,6 @@ func New(cfg Config) (*Hub, error) {
 	}
 	if cfg.Workers < 1 || cfg.PendingPerStream < 1 || cfg.ConfirmVerdicts < 1 || cfg.BatchMax < 1 {
 		return nil, fmt.Errorf("monitorhub: non-positive Workers/PendingPerStream/ConfirmVerdicts/BatchMax")
-	}
-	if cfg.BatchLinger < 0 {
-		return nil, fmt.Errorf("monitorhub: negative BatchLinger %v", cfg.BatchLinger)
 	}
 	if cfg.ConfidenceFloor < 0 || cfg.ConfidenceFloor > 1 {
 		return nil, fmt.Errorf("monitorhub: ConfidenceFloor %v outside [0,1]", cfg.ConfidenceFloor)
@@ -426,38 +420,23 @@ func (h *Hub) popLocked() *stream {
 }
 
 // collectBatch pops up to BatchMax dirty streams into buf, blocking while
-// the queue is empty and open. A non-empty batch that did not fill waits at
-// most BatchLinger for stragglers before flushing, so a lone stream's
-// verdict latency is bounded by the linger, never by batch arithmetic. An
+// the queue is empty and open, and returns at once with whatever it took:
+// a lone stream's verdict never waits on a batch that will not fill. An
 // empty return means the queue is closed AND drained — the worker's exit
 // signal (drain still runs everything pending, including streams a worker
 // re-enqueues after the close).
 func (h *Hub) collectBatch(buf []*stream) []*stream {
-	max := h.cfg.BatchMax
 	h.qmu.Lock()
+	defer h.qmu.Unlock()
 	for h.qhead == nil && !h.qclosed {
 		h.qcond.Wait()
 	}
-	for len(buf) < max {
+	for len(buf) < h.cfg.BatchMax {
 		st := h.popLocked()
 		if st == nil {
 			break
 		}
 		buf = append(buf, st)
-	}
-	closed := h.qclosed
-	h.qmu.Unlock()
-	if linger := h.cfg.BatchLinger; linger > 0 && !closed && len(buf) > 0 && len(buf) < max {
-		time.Sleep(linger)
-		h.qmu.Lock()
-		for len(buf) < max {
-			st := h.popLocked()
-			if st == nil {
-				break
-			}
-			buf = append(buf, st)
-		}
-		h.qmu.Unlock()
 	}
 	return buf
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // ErrSaturated is returned by Batcher.Submit when the admission queue is
@@ -15,43 +14,47 @@ var ErrSaturated = errors.New("parallel: batch queue saturated")
 var ErrClosed = errors.New("parallel: batcher closed")
 
 // Batcher coalesces concurrently submitted items into bounded batches and
-// hands each batch to a run function on a single dispatcher goroutine.
+// runs each batch on one of at most inflight dispatcher goroutines.
 //
-// The shape is the classic micro-batching executor: the first item of a
-// batch opens a collection window; items already queued are drained
-// greedily; the batch dispatches as soon as it is full or the window
-// elapses, whichever is first. Under load, batches fill instantly and the
-// window never costs latency; when idle, a lone request waits at most one
-// window. Admission is strictly bounded: Submit never blocks, it either
-// enqueues or reports ErrSaturated, which keeps the service's memory and
-// tail latency finite no matter the offered load.
+// Batching is opportunistic, the adaptive batching of Clipper (NSDI'17):
+// there is no timer. An idle dispatcher takes the first item that arrives,
+// greedily drains whatever else is already queued (up to maxBatch) and
+// runs the batch inline; whatever arrives during the run queues and forms
+// the next batch. A lone item therefore dispatches at once, and batches
+// grow with load and cost an idle request nothing. Admission is strictly
+// bounded: Submit never blocks, it either enqueues or reports
+// ErrSaturated, which keeps the service's memory and tail latency finite
+// no matter the offered load.
 //
 // Close stops admission, drains everything already queued through run, and
-// waits for the dispatcher to finish — the graceful-shutdown contract.
+// waits for every dispatcher to finish — the graceful-shutdown contract.
 type Batcher[T any] struct {
 	queue    chan T
 	maxBatch int
-	window   time.Duration
 	run      func(batch []T)
 
+	// mu guards closed. Submit holds it shared; SubmitAll holds it
+	// exclusively, and a dispatcher drains under it shared, so the items
+	// of one SubmitAll are all queued before any dispatcher drains.
 	mu     sync.RWMutex
 	closed bool
-	done   chan struct{}
+	wg     sync.WaitGroup
 }
 
-// NewBatcher starts the dispatcher. queueDepth bounds admission, maxBatch
-// bounds batch size, window bounds how long a non-full batch waits for
-// company (0 dispatches immediately with whatever is queued). run is
-// called with 1..maxBatch items and must not retain the slice.
-func NewBatcher[T any](queueDepth, maxBatch int, window time.Duration, run func(batch []T)) (*Batcher[T], error) {
+// NewBatcher starts inflight dispatchers. queueDepth bounds admission,
+// maxBatch bounds batch size and inflight bounds how many batches run at
+// once. run is called with 1..maxBatch items, from up to inflight
+// goroutines concurrently, and must not retain the slice. With inflight 1
+// the runs are serialised, so run may own unsynchronised state.
+func NewBatcher[T any](queueDepth, maxBatch, inflight int, run func(batch []T)) (*Batcher[T], error) {
 	if queueDepth < 1 {
 		return nil, fmt.Errorf("parallel: queue depth %d, need ≥ 1", queueDepth)
 	}
 	if maxBatch < 1 {
 		return nil, fmt.Errorf("parallel: max batch %d, need ≥ 1", maxBatch)
 	}
-	if window < 0 {
-		return nil, fmt.Errorf("parallel: negative batch window %v", window)
+	if inflight < 1 {
+		return nil, fmt.Errorf("parallel: in-flight bound %d, need ≥ 1", inflight)
 	}
 	if run == nil {
 		return nil, fmt.Errorf("parallel: nil run function")
@@ -59,11 +62,12 @@ func NewBatcher[T any](queueDepth, maxBatch int, window time.Duration, run func(
 	b := &Batcher[T]{
 		queue:    make(chan T, queueDepth),
 		maxBatch: maxBatch,
-		window:   window,
 		run:      run,
-		done:     make(chan struct{}),
 	}
-	go b.dispatch()
+	b.wg.Add(inflight)
+	for i := 0; i < inflight; i++ {
+		go b.dispatch()
+	}
 	return b, nil
 }
 
@@ -83,12 +87,36 @@ func (b *Batcher[T]) Submit(item T) error {
 	}
 }
 
-// QueueLen reports how many submitted items await batching — a readiness /
-// backpressure signal, inherently racy and advisory.
+// SubmitAll admits a prefix of items without blocking, all under one
+// exclusive lock, so the dispatcher that takes the first of them drains
+// the rest with it: with inflight 1, up to maxBatch of them run as one
+// batch. Admission stops where the queue is full; SubmitAll returns how
+// many items it admitted and ErrSaturated when that is fewer than
+// len(items), or 0 and ErrClosed after Close.
+func (b *Batcher[T]) SubmitAll(items []T) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return 0, ErrClosed
+	}
+	for i, item := range items {
+		select {
+		case b.queue <- item:
+		default:
+			return i, ErrSaturated
+		}
+	}
+	return len(items), nil
+}
+
+// QueueLen reports how many submitted items await a dispatcher — a
+// readiness / backpressure signal, inherently racy and advisory. An item
+// sent while a dispatcher waits on the queue goes straight to it and is
+// never counted.
 func (b *Batcher[T]) QueueLen() int { return len(b.queue) }
 
-// Close stops admission, drains the queue through run, and waits for the
-// dispatcher to exit. Safe to call more than once.
+// Close stops admission, drains the queue through run, and waits for
+// every dispatcher to exit. Safe to call more than once.
 func (b *Batcher[T]) Close() {
 	b.mu.Lock()
 	if !b.closed {
@@ -96,28 +124,26 @@ func (b *Batcher[T]) Close() {
 		close(b.queue)
 	}
 	b.mu.Unlock()
-	<-b.done
+	b.wg.Wait()
 }
 
-// dispatch is the single collector goroutine.
+// dispatch is one dispatcher goroutine: wait for an item, drain what is
+// already queued behind it, run the batch, repeat until closed and drained.
 func (b *Batcher[T]) dispatch() {
-	defer close(b.done)
+	defer b.wg.Done()
 	batch := make([]T, 0, b.maxBatch)
-	var timer *time.Timer
 	for {
 		first, ok := <-b.queue
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], first)
-		open := true // queue still open as far as we know
-		// Greedily absorb whatever is already waiting.
+		batch = append(batch, first)
+		b.mu.RLock() // waits out a SubmitAll still admitting
 	drain:
 		for len(batch) < b.maxBatch {
 			select {
 			case item, ok := <-b.queue:
 				if !ok {
-					open = false
 					break drain
 				}
 				batch = append(batch, item)
@@ -125,32 +151,9 @@ func (b *Batcher[T]) dispatch() {
 				break drain
 			}
 		}
-		// Not full and nothing queued: hold the window open for company.
-		if open && len(batch) < b.maxBatch && b.window > 0 {
-			if timer == nil {
-				timer = time.NewTimer(b.window)
-			} else {
-				timer.Reset(b.window)
-			}
-		window:
-			for len(batch) < b.maxBatch {
-				select {
-				case item, ok := <-b.queue:
-					if !ok {
-						break window
-					}
-					batch = append(batch, item)
-				case <-timer.C:
-					break window
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
+		b.mu.RUnlock()
 		b.run(batch)
+		clear(batch) // the scratch must not pin delivered items
+		batch = batch[:0]
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/material"
 	"repro/internal/raceflag"
@@ -27,7 +26,7 @@ func TestHandleIdentifyAllocSteadyState(t *testing.T) {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	fx := newFixture(t, []string{material.PureWater, material.Honey, material.Oil})
-	s, err := New(Config{Registry: fx.registry, BatchWindow: time.Nanosecond})
+	s, err := New(Config{Registry: fx.registry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,13 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/material"
 	"repro/internal/registry"
 )
 
-// TestRunBatchMatchesSingle drives the dispatcher's batch path directly
+// TestRunBatchMatchesSingle drives the executor's batch path directly
 // with crafted batches and pins it against per-session IdentifyDetailedP:
 // every answer must match exactly, expired jobs must be answered with
 // their context error without poisoning neighbours, mixed-model batches
@@ -98,17 +97,11 @@ func TestRunBatchMatchesSingle(t *testing.T) {
 // answers of lone requests, field for field.
 func TestBatchedIdentifyMatchesSingleHTTP(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
-	s, err := New(Config{Registry: fx.registry, MaxBatch: 8, BatchWindow: 20 * time.Millisecond})
+	s, err := New(Config{Registry: fx.registry, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Shutdown()
-	// Stall the first dispatch once so the remaining posts pile into the
-	// admission queue and provably coalesce.
-	var stallOnce sync.Once
-	s.holdBatch = func([]*job) {
-		stallOnce.Do(func() { time.Sleep(100 * time.Millisecond) })
-	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -122,6 +115,9 @@ func TestBatchedIdentifyMatchesSingleHTTP(t *testing.T) {
 		}
 		single[i] = out
 	}
+	// Wedge the executor on the first concurrent post so the rest pile
+	// into the admission queue and provably coalesce.
+	hold := holdExecutor(s)
 	var wg sync.WaitGroup
 	results := make([]IdentifyResponse, len(bodies))
 	for i := range bodies {
@@ -136,19 +132,16 @@ func TestBatchedIdentifyMatchesSingleHTTP(t *testing.T) {
 			results[i] = out
 		}(i)
 	}
+	hold.waitQueued(t, s, len(bodies))
+	hold.unblock()
 	wg.Wait()
 	for i := range results {
 		if results[i] != single[i] {
 			t.Fatalf("capture %d: batched answer %+v, single answer %+v", i, results[i], single[i])
 		}
 	}
-	stats := s.Stats()
-	var coalesced uint64
-	for size := 2; size <= len(stats.BatchSizes); size++ {
-		coalesced += stats.BatchSizes[size-1]
-	}
-	if coalesced == 0 {
-		t.Fatalf("no batch coalesced more than one request: %v", stats.BatchSizes)
+	if st := s.Stats(); coalescedBatches(st) == 0 {
+		t.Fatalf("no batch coalesced more than one request: %v", st.BatchSizes)
 	}
 }
 

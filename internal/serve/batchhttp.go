@@ -18,9 +18,10 @@ const MaxBatchSlots = 64
 
 // BatchIdentifyRequest is the POST /v1/identify/batch body: N independent
 // identify requests answered in one HTTP round trip. The slots feed the
-// same micro-batching executor the single endpoint uses, so they coalesce
-// into blocked batch classification without N clients having to race each
-// other through the admission queue.
+// same micro-batching executor the single endpoint uses, admitted
+// together so they run as one blocked batch classification (up to
+// MaxBatch slots per batch) instead of N requests racing each other
+// through the admission queue.
 type BatchIdentifyRequest struct {
 	Requests []json.RawMessage `json:"requests"`
 }
@@ -61,12 +62,6 @@ func slotError(status int, format string, args ...any) BatchSlot {
 	return BatchSlot{Status: status, Body: slotJSON(map[string]string{"error": fmt.Sprintf(format, args...)})}
 }
 
-// batchSlotState tracks one in-flight slot between submission and reply.
-type batchSlotState struct {
-	job *job
-	sc  *decodeScratch
-}
-
 // handleBatchIdentify answers POST /v1/identify/batch. Every slot travels
 // the exact machinery of the single path — pooled decode scratch, batcher
 // admission (shedding per slot, not per request), per-slot deadline and
@@ -103,11 +98,11 @@ func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(ModelVersionHeader, model.Version)
 
-	// Decode every slot first, then submit in one tight loop: the batcher's
-	// dispatcher sees all jobs near-simultaneously and coalesces them into
-	// as few blocked classifications as its MaxBatch allows.
+	// Decode every slot first, then admit them all at once.
 	results := make([]BatchSlot, n)
-	states := make([]batchSlotState, n)
+	jobs := make([]*job, 0, n)
+	scs := make([]*decodeScratch, 0, n) // scs[k] holds jobs[k]'s session
+	slots := make([]int, 0, n)          // slots[k] is the slot jobs[k] answers
 	for i, raw := range req.Requests {
 		var ir IdentifyRequest
 		if err := json.Unmarshal(raw, &ir); err != nil {
@@ -121,43 +116,37 @@ func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 			results[i] = slotError(http.StatusBadRequest, "%v", err)
 			continue
 		}
-		states[i] = batchSlotState{sc: sc, job: &job{session: session, model: model, done: make(chan jobResult, 1)}}
+		jobs = append(jobs, &job{session: session, model: model, done: make(chan jobResult, 1)})
+		scs = append(scs, sc)
+		slots = append(slots, i)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	for i := range states {
-		st := &states[i]
-		if st.job == nil {
-			continue
-		}
-		st.job.ctx = ctx
-		switch err := s.batcher.Submit(st.job); {
-		case errors.Is(err, parallel.ErrSaturated):
-			scratchPool.Put(st.sc)
-			st.job = nil
-			s.shed.Add(1)
-			results[i] = slotError(http.StatusTooManyRequests, "admission queue full, retry later")
-			results[i].RetryAfterSec = retryAfterSecondsInt(s.retryAfterHint())
-		case errors.Is(err, parallel.ErrClosed):
-			scratchPool.Put(st.sc)
-			st.job = nil
-			results[i] = slotError(http.StatusServiceUnavailable, "server is draining")
-		case err != nil:
-			scratchPool.Put(st.sc)
-			st.job = nil
-			s.failed.Add(1)
-			results[i] = slotError(http.StatusInternalServerError, "%v", err)
-		}
+	for _, j := range jobs {
+		j.ctx = ctx
 	}
-	for i := range states {
-		st := &states[i]
-		if st.job == nil {
+	// One admission for every decoded slot: the dispatcher drains them
+	// together, so on an idle server up to MaxBatch slots run as one batch
+	// by construction. Shedding stays per slot — those beyond the free
+	// queue depth each get the 429 a single request would.
+	admitted, err := s.batcher.SubmitAll(jobs)
+	for k := admitted; k < len(jobs); k++ {
+		i := slots[k]
+		scratchPool.Put(scs[k])
+		if errors.Is(err, parallel.ErrClosed) {
+			results[i] = slotError(http.StatusServiceUnavailable, "server is draining")
 			continue
 		}
+		s.shed.Add(1)
+		results[i] = slotError(http.StatusTooManyRequests, "admission queue full, retry later")
+		results[i].RetryAfterSec = retryAfterSecondsInt(s.retryAfterHint())
+	}
+	for k, j := range jobs[:admitted] {
+		i := slots[k]
 		select {
-		case res := <-st.job.done:
+		case res := <-j.done:
 			// Worker provably done with the session: the scratch recycles.
-			scratchPool.Put(st.sc)
+			scratchPool.Put(scs[k])
 			switch {
 			case res.err == nil:
 				s.served.Add(1)

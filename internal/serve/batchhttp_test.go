@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/material"
@@ -33,7 +34,7 @@ func postBatch(t *testing.T, ts *httptest.Server, payload []byte) (*http.Respons
 // request — for successes AND for per-slot failures.
 func TestBatchEndpointSlotsMatchSingleResponses(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
-	s, err := New(Config{Registry: fx.registry, MaxBatch: 4, BatchWindow: 0})
+	s, err := New(Config{Registry: fx.registry, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +89,60 @@ func TestBatchEndpointSlotsMatchSingleResponses(t *testing.T) {
 		}
 		if slot.Status == http.StatusOK && slot.ModelVersion != single.Header.Get(ModelVersionHeader) {
 			t.Errorf("slot %d modelVersion %q, single header %q", i, slot.ModelVersion, single.Header.Get(ModelVersionHeader))
+		}
+	}
+}
+
+// TestBatchEndpointSlotsRunAsOneBatch pins multi-item admission: on an
+// idle server a k-slot request runs as exactly one executor batch for
+// k = 2 and k = MaxBatch (BatchSizes[k-1] rises by 1 and no other bucket
+// moves), and MaxBatch+3 slots run as two batches, one full and one of 3.
+func TestBatchEndpointSlotsRunAsOneBatch(t *testing.T) {
+	fx := newFixture(t, []string{material.PureWater, material.Honey})
+	const maxBatch = 8
+	s, err := New(Config{Registry: fx.registry, MaxBatch: maxBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		slots   int
+		batches []int
+	}{
+		{slots: 2, batches: []int{2}},
+		{slots: maxBatch, batches: []int{maxBatch}},
+		{slots: maxBatch + 3, batches: []int{maxBatch, 3}},
+	} {
+		raws := make([]json.RawMessage, tc.slots)
+		for i := range raws {
+			raws[i] = encodeRequest(t, fx.sessions[i%len(fx.sessions)])
+		}
+		payload, err := json.Marshal(BatchIdentifyRequest{Requests: raws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.Stats().BatchSizes
+		for _, n := range tc.batches {
+			want[n-1]++
+		}
+		resp, body := postBatch(t, ts, payload)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d slots: status %d: %s", tc.slots, resp.StatusCode, body)
+		}
+		var out BatchIdentifyResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		for i, slot := range out.Results {
+			if slot.Status != http.StatusOK {
+				t.Fatalf("%d slots: slot %d status %d: %s", tc.slots, i, slot.Status, slot.Body)
+			}
+		}
+		if got := s.Stats().BatchSizes; !slices.Equal(got, want) {
+			t.Errorf("%d slots: batch sizes %v, want %v (batches %v)", tc.slots, got, want, tc.batches)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/material"
 	"repro/internal/registry"
@@ -28,7 +27,7 @@ func BenchmarkServeIdentify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Config{Registry: reg, MaxBatch: 8, BatchWindow: time.Millisecond, QueueDepth: 256})
+	s, err := New(Config{Registry: reg, MaxBatch: 8, QueueDepth: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func BenchmarkServeIdentify(b *testing.B) {
 	// The replay scenario: identical bodies against a verdict-cache-enabled
 	// server answer from the LRU without decoding or running the pipeline.
 	b.Run("cached", func(b *testing.B) {
-		cs, err := New(Config{Registry: reg, MaxBatch: 8, BatchWindow: time.Millisecond, QueueDepth: 256, VerdictCache: 64})
+		cs, err := New(Config{Registry: reg, MaxBatch: 8, QueueDepth: 256, VerdictCache: 64})
 		if err != nil {
 			b.Fatal(err)
 		}

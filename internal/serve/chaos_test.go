@@ -61,7 +61,6 @@ func TestChaosClientsNoGoroutineLeak(t *testing.T) {
 		Registry:       fx.registry,
 		MaxBatch:       4,
 		QueueDepth:     16,
-		BatchWindow:    time.Millisecond,
 		RequestTimeout: 2 * time.Second,
 	})
 	if err != nil {

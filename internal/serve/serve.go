@@ -9,13 +9,14 @@
 //	  Batcher.Submit (429 when saturated) → batch worker runs the
 //	  pipeline → respond {material, omega, confidence, modelVersion}
 //
-// Batching exists because the pipeline's expensive state — FFT plans and
-// DWT workspaces — is pooled: requests that run shoulder-to-shoulder in
-// one batch reuse workspaces that are hot in cache instead of each paying
-// the pool round-trip and allocation ramp alone. The batch executor also
-// gives the service its backpressure story: one bounded queue in front of
-// a bounded worker pool, and everything beyond that is shed immediately
-// with Retry-After rather than queued into memory.
+// Batching is opportunistic: one dispatcher runs one batch at a time, a
+// request that finds it idle runs at once, and requests that arrive while
+// a batch runs form the next one. Nothing ever waits for company, yet
+// under load batches grow by themselves and the whole batch is classified
+// in one blocked SVM predict. The batch executor also gives the service
+// its backpressure story: one bounded queue in front of a bounded worker
+// pool, and everything beyond that is shed immediately with Retry-After
+// rather than queued into memory.
 package serve
 
 import (
@@ -47,9 +48,6 @@ type Config struct {
 	Registry *registry.Registry
 	// MaxBatch bounds how many requests one batch coalesces (default 8).
 	MaxBatch int
-	// BatchWindow is how long a non-full batch waits for company.
-	// Zero selects the default of 2ms; to disable waiting set 1ns.
-	BatchWindow time.Duration
 	// QueueDepth bounds the admission queue; requests beyond it are shed
 	// with HTTP 429 (default 64).
 	QueueDepth int
@@ -80,9 +78,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 8
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
@@ -170,8 +165,9 @@ type Server struct {
 	batchSizes []atomic.Uint64
 
 	// batch is the dispatcher-owned scratch of the batched classify path.
-	// parallel.Batcher runs all batches from one goroutine, so this state
-	// needs no locking and is reused batch to batch.
+	// parallel.Batcher runs all batches from one goroutine (in-flight
+	// bound 1), so this state needs no locking and is reused batch to
+	// batch.
 	batch batchRun
 
 	// vcache is the optional content-hash verdict cache (nil when
@@ -205,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.VerdictCache > 0 {
 		s.vcache = newVerdictCache(cfg.VerdictCache)
 	}
-	b, err := parallel.NewBatcher[*job](cfg.QueueDepth, cfg.MaxBatch, cfg.BatchWindow, s.runBatch)
+	b, err := parallel.NewBatcher[*job](cfg.QueueDepth, cfg.MaxBatch, 1, s.runBatch)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
@@ -410,11 +406,6 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, parallel.ErrClosed):
 		scratchPool.Put(sc)
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	case err != nil:
-		scratchPool.Put(sc)
-		s.failed.Add(1)
-		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	select {

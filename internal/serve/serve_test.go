@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/csi"
 	"repro/internal/material"
+	"repro/internal/parallel"
 	"repro/internal/registry"
 	"repro/internal/simulate"
 	"repro/internal/trace"
@@ -160,9 +161,71 @@ func TestIdentifyEndToEnd(t *testing.T) {
 	}
 }
 
+// executorHold wedges the batch executor on the first batch it runs, so
+// requests that arrive meanwhile queue behind it and provably form the
+// next batches: coalescing by construction.
+type executorHold struct {
+	held    chan int // receives the held batch's size
+	release chan struct{}
+	once    sync.Once
+}
+
+func holdExecutor(s *Server) *executorHold {
+	h := &executorHold{held: make(chan int, 1), release: make(chan struct{})}
+	var first sync.Once
+	s.holdBatch = func(batch []*job) {
+		first.Do(func() {
+			h.held <- len(batch)
+			<-h.release
+		})
+	}
+	return h
+}
+
+// unblock releases the held executor; safe to call more than once.
+func (h *executorHold) unblock() { h.once.Do(func() { close(h.release) }) }
+
+// waitQueued waits until all n requests are admitted: in the held batch
+// or queued behind it. On failure it unblocks the executor so the test's
+// deferred Shutdown can drain.
+func (h *executorHold) waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	ok := false
+	defer func() {
+		if !ok {
+			h.unblock()
+		}
+	}()
+	deadline := time.After(10 * time.Second)
+	var held int
+	select {
+	case held = <-h.held:
+	case <-deadline:
+		t.Fatal("no batch reached the executor")
+	}
+	for held+s.batcher.QueueLen() < n {
+		select {
+		case <-deadline:
+			t.Fatalf("only %d of %d requests admitted", held+s.batcher.QueueLen(), n)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	ok = true
+}
+
+// coalescedBatches counts executed batches that carried more than one
+// request.
+func coalescedBatches(st Stats) uint64 {
+	var n uint64
+	for _, c := range st.BatchSizes[1:] {
+		n += c
+	}
+	return n
+}
+
 func TestIdentifyConcurrentBatches(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
-	s, err := New(Config{Registry: fx.registry, MaxBatch: 4, BatchWindow: 5 * time.Millisecond})
+	s, err := New(Config{Registry: fx.registry, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +234,7 @@ func TestIdentifyConcurrentBatches(t *testing.T) {
 	defer ts.Close()
 
 	body := encodeRequest(t, fx.sessions[0])
+	hold := holdExecutor(s)
 	var wg sync.WaitGroup
 	errs := make([]error, 24)
 	status := make([]int, 24)
@@ -187,6 +251,8 @@ func TestIdentifyConcurrentBatches(t *testing.T) {
 			_ = resp.Body.Close()
 		}(i)
 	}
+	hold.waitQueued(t, s, 24)
+	hold.unblock()
 	wg.Wait()
 	for i := range errs {
 		if errs[i] != nil {
@@ -195,6 +261,11 @@ func TestIdentifyConcurrentBatches(t *testing.T) {
 		if status[i] != http.StatusOK {
 			t.Errorf("request %d: status %d", i, status[i])
 		}
+	}
+	// At least 20 requests queued behind the held batch: they drain as
+	// full batches of MaxBatch.
+	if st := s.Stats(); st.BatchSizes[3] == 0 {
+		t.Errorf("no full batch of 4 formed behind the held executor: %v", st.BatchSizes)
 	}
 }
 
@@ -513,7 +584,7 @@ func TestRetryAfterReflectsDrainRate(t *testing.T) {
 	if secs < 1 || secs >= 45 {
 		t.Errorf("Retry-After %ds: want a computed hint in [1, 45)", secs)
 	}
-	// Unwedge BEFORE Shutdown: the drain waits on the dispatcher, which
+	// Unwedge BEFORE Shutdown: the drain waits on the executor, which
 	// is parked in the held batch.
 	close(release)
 	wg.Wait()
@@ -521,10 +592,11 @@ func TestRetryAfterReflectsDrainRate(t *testing.T) {
 }
 
 // TestShutdownDrainsAdmittedRequests verifies admitted requests complete
-// during drain.
+// during drain: every request is admitted behind a held executor before
+// Shutdown begins, and every one must still finish 200.
 func TestShutdownDrainsAdmittedRequests(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
-	s, err := New(Config{Registry: fx.registry, MaxBatch: 2, QueueDepth: 16, BatchWindow: 20 * time.Millisecond})
+	s, err := New(Config{Registry: fx.registry, MaxBatch: 2, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,6 +604,7 @@ func TestShutdownDrainsAdmittedRequests(t *testing.T) {
 	defer ts.Close()
 	body := encodeRequest(t, fx.sessions[0])
 
+	hold := holdExecutor(s)
 	results := make(chan int, 8)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -547,16 +620,27 @@ func TestShutdownDrainsAdmittedRequests(t *testing.T) {
 			results <- resp.StatusCode
 		}()
 	}
-	// Let requests be admitted, then drain.
-	time.Sleep(10 * time.Millisecond)
-	s.Shutdown()
+	// Begin the drain while all 8 wait on the held executor: Shutdown
+	// closes admission at once, then blocks until the queue is drained.
+	hold.waitQueued(t, s, 8)
+	drained := make(chan struct{})
+	go func() {
+		s.Shutdown()
+		close(drained)
+	}()
+	for _, err := s.batcher.SubmitAll(nil); err != parallel.ErrClosed; _, err = s.batcher.SubmitAll(nil) {
+		time.Sleep(time.Millisecond)
+	}
+	hold.unblock()
 	wg.Wait()
+	<-drained
 	close(results)
 	for code := range results {
-		// Every admitted request must finish 200; late arrivals may see
-		// the draining 503 — but nothing may hang or error out.
-		if code != http.StatusOK && code != http.StatusServiceUnavailable {
-			t.Errorf("request finished with %d", code)
+		if code != http.StatusOK {
+			t.Errorf("admitted request finished with %d during drain", code)
 		}
+	}
+	if st := s.Stats(); st.BatchSizes[1] == 0 {
+		t.Errorf("no batch of 2 formed behind the held executor: %v", st.BatchSizes)
 	}
 }
