@@ -1,4 +1,4 @@
-.PHONY: check build vet test race bench bench-allocs bench-compare bench-build microbench serve-smoke cluster-smoke hub-smoke svm-determinism alloc-guard profile
+.PHONY: check build vet test race bench bench-allocs bench-compare bench-build microbench serve-smoke cluster-smoke hub-smoke svm-determinism alloc-guard profile fuzz
 
 # The full pre-merge gate: vet, build, the SVM determinism contract, the
 # test suite under the race detector (the transport/faults/serve layers are
@@ -57,6 +57,20 @@ cluster-smoke:
 # contract as a binary-level drill.
 hub-smoke:
 	go test -count=1 -run TestHubSmoke -v ./cmd/wimi-hub | grep -E "hub-smoke|PASS|FAIL|ok "
+
+# fuzz runs every native fuzz target in the module (each package's
+# func Fuzz* in its _test.go files, so a new target joins by itself) for a
+# fixed 10 s each: go test takes one -fuzz target per run. It is a
+# budgeted search, not a gate, so it stays out of check; the committed
+# seed corpora under each package's testdata/fuzz replay on every plain
+# go test instead.
+fuzz:
+	@set -e; for dir in $$(go list -f '{{.Dir}}' ./...); do \
+		for target in $$(cat $$dir/*_test.go 2>/dev/null | sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p'); do \
+			echo "fuzz $$dir $$target"; \
+			go test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$dir; \
+		done; \
+	done
 
 build:
 	go build ./...

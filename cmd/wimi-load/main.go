@@ -203,17 +203,13 @@ func batchFire(client *http.Client, target string, bodies [][]byte, size int, re
 	url := target + "/v1/identify/batch"
 	return func() {
 		base := int(reqIndex.Add(int64(size)) - int64(size))
-		reqs := make([]json.RawMessage, size)
+		reqs := make([][]byte, size)
 		for j := 0; j < size; j++ {
 			reqs[j] = bodies[(base+j)%len(bodies)]
 		}
-		payload, err := json.Marshal(serve.BatchIdentifyRequest{Requests: reqs})
-		if err != nil {
-			cnt.failed.Add(int64(size))
-			return
-		}
+		frame := serve.AppendBatchFrame(nil, reqs)
 		start := time.Now()
-		resp, err := client.Post(url, "application/json", bytes.NewReader(payload))
+		resp, err := client.Post(url, "application/octet-stream", bytes.NewReader(frame))
 		if err != nil {
 			cnt.failed.Add(int64(size))
 			return

@@ -36,12 +36,8 @@ type backend struct {
 	failures atomic.Uint64
 
 	// batcher aggregates concurrent relays to this backend into upstream
-	// batch calls (nil when the data plane runs unbatched). noBatch flips
-	// permanently when the backend 404s /v1/identify/batch — an older
-	// serve build — and routes this backend's traffic back to single
-	// relays without giving up on batching elsewhere.
+	// batch calls (nil when the data plane runs unbatched).
 	batcher *parallel.Batcher[*upstreamCall]
-	noBatch atomic.Bool
 }
 
 func newBackend(base string, cfg Config) *backend {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -173,9 +174,17 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 		return g, ts
 	}
 
+	// Malformed bodies ride the held cell: serve answers each its own 400,
+	// which must reach the client as the unbatched path relays it.
+	valid := len(fx.bodies)
+	bodies := append(slices.Clip(fx.bodies),
+		[]byte(`{},{}`),                              // two values, which must stay one slot
+		fx.bodies[0][:len(fx.bodies[0])/2],           // a truncated object
+		append(slices.Clip(fx.bodies[1]), "junk"...)) // a valid body plus trailing bytes
+
 	_, refTS := newGW(1, urls...)
-	refs := make([]reply, len(fx.bodies))
-	for i, body := range fx.bodies {
+	refs := make([]reply, len(bodies))
+	for i, body := range bodies {
 		resp, err := http.Post(refTS.URL+"/v1/identify", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -185,8 +194,12 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("reference request %d: status %d, body %s", i, resp.StatusCode, b)
+		want := http.StatusOK
+		if i >= valid {
+			want = http.StatusBadRequest
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("reference request %d: status %d, want %d, body %s", i, resp.StatusCode, want, b)
 		}
 		refs[i] = reply{status: resp.StatusCode, model: resp.Header.Get(serve.ModelVersionHeader), body: b}
 	}
@@ -246,13 +259,13 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 
 	// The matrix cannot promise that a batch forms. Here one does by
 	// construction: the first bodies hold the backend's in-flight flushes,
-	// and 3 rounds over every body wait behind them — copies of the held
-	// bodies coalesce onto them, each other body leads one queued slot,
-	// and its copies coalesce onto that leader.
+	// and 3 rounds over every body, malformed ones included, wait behind
+	// them — copies of the held bodies coalesce onto them, each other body
+	// leads one queued slot, and its copies coalesce onto that leader.
 	t.Run("held", func(t *testing.T) {
-		leaders := len(fx.bodies) - upstreamInflight
+		leaders := len(bodies) - upstreamInflight
 		if leaders < 2 {
-			t.Fatalf("%d bodies leave %d to queue behind %d flushes; a batch needs 2", len(fx.bodies), leaders, upstreamInflight)
+			t.Fatalf("%d bodies leave %d to queue behind %d flushes; a batch needs 2", len(bodies), leaders, upstreamInflight)
 		}
 		gate := newFlushGate()
 		held := startServeBackend(t, fx, gate)
@@ -264,7 +277,7 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 			idx = append(idx, n)
 		}
 		for round := 0; round < 3; round++ {
-			for n, body := range fx.bodies {
+			for n, body := range bodies {
 				reqs = append(reqs, string(body))
 				idx = append(idx, n)
 			}
@@ -343,10 +356,10 @@ func TestCoalescingSharesOneUpstream(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackWhenBackendHasNoBatchRoute pins backward
-// compatibility: a backend without /v1/identify/batch (an older serve
-// build — the fake's mux simply lacks the route) answers every request
-// via single relays, and the gateway remembers not to batch at it again.
+// TestBatchFallbackWhenBackendHasNoBatchRoute pins the refused-frame
+// fallback: a backend without /v1/identify/batch (an older serve build —
+// the fake's mux simply lacks the route) 404s the frame, and every rider
+// goes straight down the single path to a 200, spending no retry.
 func TestBatchFallbackWhenBackendHasNoBatchRoute(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t, 3))
 	gate := newFlushGate()
@@ -377,17 +390,29 @@ func TestBatchFallbackWhenBackendHasNoBatchRoute(t *testing.T) {
 	if n := b.inflight.Load(); n != 0 {
 		t.Errorf("backend load %d after every request was answered, want 0", n)
 	}
-	if st := g.Stats(); st.BatchesSent == 0 {
+	st := g.Stats()
+	if st.BatchesSent == 0 {
 		t.Fatalf("no upstream batch was attempted: %v", st.BatchSizes)
 	}
-	if !b.noBatch.Load() {
-		t.Error("gateway never marked the batchless backend noBatch")
+	if st.Retried != 0 {
+		t.Errorf("retried=%d: the refused frame's riders spent routing attempts", st.Retried)
 	}
-	// A second burst must go straight down the single path — still fine.
 	resp, body := postIdentify(t, ts, `{"after":"fallback"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-fallback request: status %d, body %s", resp.StatusCode, body)
 	}
+}
+
+// readFrame parses a fake backend's batch request with the serve codec. A
+// frame the codec rejects fails the test and answers 400 (nil slots).
+func readFrame(t *testing.T, w http.ResponseWriter, r *http.Request) [][]byte {
+	frame, _ := io.ReadAll(r.Body)
+	slots, err := serve.ParseBatchFrame(frame)
+	if err != nil {
+		t.Errorf("gateway sent a bad batch frame: %v", err)
+		httpError(w, http.StatusBadRequest, "%v", err)
+	}
+	return slots
 }
 
 // writeBatchOK stamps a whole-response CRC over a batch answer the way
@@ -424,13 +449,12 @@ func TestBatchPartialFailureSplitsPerSlot(t *testing.T) {
 	})
 	flakyMux.HandleFunc("POST /v1/identify/batch", func(w http.ResponseWriter, r *http.Request) {
 		batchCalls.Add(1)
-		var req serve.BatchIdentifyRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "decoding: %v", err)
+		slots := readFrame(t, w, r)
+		if slots == nil {
 			return
 		}
-		out := serve.BatchIdentifyResponse{Results: make([]serve.BatchSlot, len(req.Requests))}
-		for i, raw := range req.Requests {
+		out := serve.BatchIdentifyResponse{Results: make([]serve.BatchSlot, len(slots))}
+		for i, raw := range slots {
 			if bytes.Contains(raw, []byte("poison")) {
 				body, _ := json.Marshal(map[string]string{"error": "worker crashed"})
 				out.Results[i] = serve.BatchSlot{Status: http.StatusInternalServerError, Body: body}
@@ -477,44 +501,42 @@ func TestBatchPartialFailureSplitsPerSlot(t *testing.T) {
 	}
 }
 
-// TestMalformedBodyDoesNotPoisonBatch pins the ingress-validation
-// contract: a body that is not one well-formed JSON value must never be
-// spliced into an upstream batch envelope (where it would 400 the whole
-// batch and charge the breaker), but relay singly for its own clean 4xx
-// — while co-batched valid requests succeed untouched.
+// TestMalformedBodyDoesNotPoisonBatch pins per-slot isolation of
+// malformed bodies: each rides the upstream frame as one opaque slot, so
+// "{},{}" cannot smuggle in a second slot and a truncated object cannot
+// spoil the frame — the backend answers each malformed slot its own 400
+// while the valid bodies batched beside it succeed untouched.
 func TestMalformedBodyDoesNotPoisonBatch(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t, 3))
 
 	okBody, _ := json.Marshal(serve.IdentifyResponse{
 		Material: "water", Omega: 1.5, Confidence: 0.9, ModelVersion: "sha256:aaa",
 	})
+	badBody, _ := json.Marshal(map[string]string{"error": "malformed request body"})
 	f := newFakeBackend(t, "sha256:aaa", "water")
-	var batchCalls atomic.Int64
+	var batchCalls, batchSlots atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true, "modelVersion": "sha256:aaa"})
 	})
 	gate := newFlushGate()
 	mux.HandleFunc("POST /v1/identify", func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
 		gate.wait()
-		if !json.Valid(body) {
-			httpError(w, http.StatusBadRequest, "malformed request body")
-			return
-		}
 		writeIdentifyOK(w, "water", "sha256:aaa")
 	})
 	mux.HandleFunc("POST /v1/identify/batch", func(w http.ResponseWriter, r *http.Request) {
 		batchCalls.Add(1)
-		var req serve.BatchIdentifyRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			t.Errorf("malformed client body reached a batch envelope: %v", err)
-			httpError(w, http.StatusBadRequest, "decoding: %v", err)
+		slots := readFrame(t, w, r)
+		if slots == nil {
 			return
 		}
-		out := serve.BatchIdentifyResponse{Results: make([]serve.BatchSlot, len(req.Requests))}
-		for i := range req.Requests {
+		batchSlots.Add(int64(len(slots)))
+		out := serve.BatchIdentifyResponse{Results: make([]serve.BatchSlot, len(slots))}
+		for i, raw := range slots {
 			out.Results[i] = serve.BatchSlot{Status: http.StatusOK, ModelVersion: "sha256:aaa", Body: okBody}
+			if !json.Valid(raw) {
+				out.Results[i] = serve.BatchSlot{Status: http.StatusBadRequest, Body: badBody}
+			}
 		}
 		writeBatchOK(w, out)
 	})
@@ -522,13 +544,11 @@ func TestMalformedBodyDoesNotPoisonBatch(t *testing.T) {
 
 	g, ts := newTestGateway(t, Config{BatchMax: 8}, f)
 
-	// Blockers hold the flushes. Behind them, "{},{}" would smuggle an
-	// extra slot into the envelope and the truncated object would make the
-	// whole envelope unparseable; both relay singly instead, while the
-	// four valid bodies queue and flush as one batch.
+	// Blockers hold the flushes; all six bodies behind them queue and
+	// flush as one frame.
 	bodies := append(blockerBodies(),
 		`{"clean":1}`, `{},{}`, `{"clean":2}`, `{"unterminated":`, `{"clean":3}`, `{"clean":4}`)
-	queued := func() bool { return g.backends[0].batcher.QueueLen() == 4 }
+	queued := func() bool { return g.backends[0].batcher.QueueLen() == 6 }
 	for i, got := range gate.burst(t, ts, queued, bodies...) {
 		want := http.StatusOK
 		if !json.Valid([]byte(bodies[i])) {
@@ -538,18 +558,18 @@ func TestMalformedBodyDoesNotPoisonBatch(t *testing.T) {
 			t.Errorf("body %q: status %d, want %d", bodies[i], got.status, want)
 		}
 	}
-	if batchCalls.Load() != 1 {
-		t.Errorf("%d upstream batch calls, want the four valid bodies as exactly one", batchCalls.Load())
+	if n, slots := batchCalls.Load(), batchSlots.Load(); n != 1 || slots != 6 {
+		t.Errorf("%d upstream batch calls carrying %d slots, want one carrying exactly 6", n, slots)
 	}
 	st := g.Stats()
 	if st.Failed != 0 {
 		t.Errorf("failed=%d: malformed bodies turned into backend failures", st.Failed)
 	}
 	if st.Retried != 0 {
-		t.Errorf("retried=%d: co-batched valid requests were forced onto the retry path", st.Retried)
+		t.Errorf("retried=%d: co-batched requests were forced onto the retry path", st.Retried)
 	}
-	if !g.backends[0].routable(g.clock.Now()) {
-		t.Error("backend no longer routable: malformed bodies tripped its breaker")
+	if state := g.backends[0].breaker.State(); state != resilience.BreakerClosed {
+		t.Errorf("breaker %v: malformed bodies charged the backend", state)
 	}
 }
 
@@ -579,19 +599,17 @@ func TestOversizedBatchSplitsEnvelope(t *testing.T) {
 	})
 	mux.HandleFunc("POST /v1/identify/batch", func(w http.ResponseWriter, r *http.Request) {
 		batchCalls.Add(1)
-		env, _ := io.ReadAll(r.Body)
-		if len(env) > maxBody {
+		if r.ContentLength > maxBody {
 			oversized.Add(1)
-			httpError(w, http.StatusBadRequest, "envelope of %d bytes exceeds the limit", len(env))
+			httpError(w, http.StatusBadRequest, "frame of %d bytes exceeds the limit", r.ContentLength)
 			return
 		}
-		var req serve.BatchIdentifyRequest
-		if err := json.Unmarshal(env, &req); err != nil {
-			httpError(w, http.StatusBadRequest, "decoding: %v", err)
+		slots := readFrame(t, w, r)
+		if slots == nil {
 			return
 		}
-		out := serve.BatchIdentifyResponse{Results: make([]serve.BatchSlot, len(req.Requests))}
-		for i := range req.Requests {
+		out := serve.BatchIdentifyResponse{Results: make([]serve.BatchSlot, len(slots))}
+		for i := range slots {
 			out.Results[i] = serve.BatchSlot{Status: http.StatusOK, ModelVersion: "sha256:aaa", Body: okBody}
 		}
 		writeBatchOK(w, out)
@@ -621,7 +639,7 @@ func TestOversizedBatchSplitsEnvelope(t *testing.T) {
 	}
 
 	if oversized.Load() != 0 {
-		t.Errorf("%d envelopes exceeded the backend limit", oversized.Load())
+		t.Errorf("%d frames exceeded the backend limit", oversized.Load())
 	}
 	// However the seven queued, the six small bodies hold a run of at
 	// least three, which flushes at least one two-slot envelope.

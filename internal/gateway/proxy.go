@@ -386,10 +386,11 @@ func (g *Gateway) deliver(w http.ResponseWriter, ans clientAnswer) {
 // shrinking deadline budget, rendered as a clientAnswer. ctx is the
 // client's own context on the unbatched path and a detached one for a
 // coalescing leader (followers are owed the answer even if the leading
-// client hangs up). When batched, the first attempt rides the upstream
-// micro-batch; any failure there splits back to per-slot single relays,
-// each retrying under this request's own remaining budget.
-func (g *Gateway) identify(ctx context.Context, body *pooledBody, key uint64, batched bool) clientAnswer {
+// client hangs up). When the routed backend runs an upstream batcher (the
+// batched data plane), the first attempt rides its micro-batch; any
+// failure there splits back to per-slot single relays, each retrying
+// under this request's own remaining budget.
+func (g *Gateway) identify(ctx context.Context, body *pooledBody, key uint64) clientAnswer {
 	budget := resilience.NewBudget(g.clock, g.cfg.RequestTimeout)
 	// The jitter stream is seeded per request content: deterministic for
 	// a given request, decorrelated across a burst of different ones.
@@ -424,7 +425,7 @@ func (g *Gateway) identify(ctx context.Context, body *pooledBody, key uint64, ba
 		attemptCtx, cancel := budget.Context(ctx)
 		var res *proxyResult
 		var err error
-		if batched && attempt == 0 {
+		if attempt == 0 && primary.batcher != nil {
 			res, err = g.sendBatched(attemptCtx, primary, body)
 		} else {
 			res, err = g.forward(attemptCtx, primary, next, body)
@@ -504,7 +505,7 @@ func (g *Gateway) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		g.identifyCoalesced(w, r, pb)
 		return
 	}
-	ans := g.identify(r.Context(), pb, bodyKey(pb.bytes()), false)
+	ans := g.identify(r.Context(), pb, bodyKey(pb.bytes()))
 	g.deliver(w, ans)
 }
 

@@ -14,9 +14,13 @@
 //     once, and requests that arrive while all are busy form the next
 //     batch.
 //
-// Failure stays per-slot: a batch-level error or a retryable slot answer
-// is delivered to that slot's own routing loop, which carries on with
-// single relays under its own remaining deadline budget.
+// The upstream body is a serve batch frame: each client body rides as one
+// length-prefixed opaque slot, so the gateway never inspects a body's
+// syntax — a malformed one is a slot like any other and gets serve's own
+// per-slot 400. Failure stays per-slot: a batch-level error or a
+// retryable slot answer is delivered to that slot's own routing loop,
+// which carries on with single relays under its own remaining deadline
+// budget.
 package gateway
 
 import (
@@ -40,10 +44,11 @@ import (
 // (an identification verdict or an error line), so this is generous.
 const batchRespLimit = 8 << 20
 
-// errNoBatchEndpoint reports a backend without /v1/identify/batch — an
-// older serve build. The caller falls back to the single relay path and
-// the backend is remembered as batch-incapable.
-var errNoBatchEndpoint = errors.New("gateway: backend has no batch endpoint")
+// errBatchRefused reports a batch-level 4xx: the backend could not take the
+// frame at all (an older serve build without the route, or one that reads
+// another envelope). Every rider goes straight down the single path
+// inside sendBatched, with no routing attempt spent.
+var errBatchRefused = errors.New("gateway: backend refused the batch frame")
 
 // upstreamCall is one request riding an upstream micro-batch. body holds
 // a reference taken at submit time and released by the flush once the
@@ -79,16 +84,12 @@ func (g *Gateway) startBatcher(b *backend) {
 	b.batcher = batcher
 }
 
-// sendBatched routes one request through b's upstream micro-batcher when
-// one is running, falling back to a plain send when it is not (no
-// batcher, batch-incapable backend, saturated or closed queue). An
-// abandoned wait (context expiry) leaves the flush holding its own
-// reference on body, so the backing buffer stays live until the flush
-// is provably done with it.
+// sendBatched routes one request through b's upstream micro-batcher,
+// falling back to a plain send when the queue is saturated or closed, or
+// when the backend refused the frame its call rode. An abandoned wait
+// (context expiry) leaves the flush holding its own reference on body, so
+// the backing buffer stays live until the flush is provably done with it.
 func (g *Gateway) sendBatched(ctx context.Context, b *backend, body *pooledBody) (*proxyResult, error) {
-	if b.batcher == nil || b.noBatch.Load() {
-		return g.send(ctx, b, body)
-	}
 	call := &upstreamCall{ctx: ctx, body: body, done: make(chan upstreamResult, 1)}
 	body.retain() // the flush's reference; released by flushBatch
 	// A call queued behind the in-flight flushes is load on b as much as
@@ -103,7 +104,7 @@ func (g *Gateway) sendBatched(ctx context.Context, b *backend, body *pooledBody)
 	}
 	select {
 	case r := <-call.done:
-		if errors.Is(r.err, errNoBatchEndpoint) {
+		if errors.Is(r.err, errBatchRefused) {
 			return g.send(ctx, b, body)
 		}
 		return r.res, r.err
@@ -135,24 +136,20 @@ func (g *Gateway) flushBatch(b *backend, calls []*upstreamCall) {
 		live = append(live, c)
 	}
 	// Partition into chunks the backend is willing to read: serve bounds
-	// the whole envelope at its MaxBodyBytes (assumed to match ours — both
+	// the whole frame at its MaxBodyBytes (assumed to match ours — both
 	// default 16 MiB) and the slot count at MaxBatchSlots, so several
 	// individually-legal large captures must not be glued into one doomed
-	// 400. A body too big to share an envelope forms a chunk of one and
-	// rides the single path, whose raw body the backend does accept.
-	maxSlots := g.cfg.BatchMax
-	if maxSlots > serve.MaxBatchSlots {
-		maxSlots = serve.MaxBatchSlots
-	}
-	budget := g.cfg.MaxBodyBytes - int64(len(`{"requests":[]}`))
+	// 400. A body too big to share a frame forms a chunk of one and rides
+	// the single path, whose raw body the backend does accept.
+	maxSlots := min(g.cfg.BatchMax, serve.MaxBatchSlots)
 	for start := 0; start < len(live); {
-		end, size := start, int64(0)
+		end, payload := start, int64(0)
 		for end < len(live) && end-start < maxSlots {
-			cost := int64(len(live[end].body.bytes())) + 1 // slot plus its comma
-			if end > start && size+cost > budget {
+			next := payload + int64(len(live[end].body.bytes()))
+			if end > start && serve.BatchFrameSize(end-start+1, next) > g.cfg.MaxBodyBytes {
 				break
 			}
-			size += cost
+			payload = next
 			end++
 		}
 		chunk := live[start:end]
@@ -187,20 +184,17 @@ func (g *Gateway) sendBatchUpstream(b *backend, calls []*upstreamCall) {
 	b.inflight.Add(int64(len(calls)))
 	defer b.inflight.Add(int64(-len(calls)))
 
-	// Assemble {"requests":[...]} by splicing the raw client bodies —
-	// they are relayed verbatim, never re-encoded. Ingress admitted each
-	// one to the batched plane only after validBatchBody, so the splice
-	// cannot produce a malformed envelope or smuggle extra slots.
+	// Frame the raw client bodies, relayed verbatim and never re-encoded.
+	bodies := make([][]byte, len(calls))
+	payload := int64(0)
+	for i, c := range calls {
+		bodies[i] = c.body.bytes()
+		payload += int64(len(bodies[i]))
+	}
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	buf.WriteString(`{"requests":[`)
-	for i, c := range calls {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(c.body.bytes())
-	}
-	buf.WriteString(`]}`)
+	buf.Grow(int(serve.BatchFrameSize(len(bodies), payload)))
+	buf.Write(serve.AppendBatchFrame(buf.AvailableBuffer(), bodies))
 	env := newPooledBody(buf)
 
 	// The wire call may run as long as the most patient rider.
@@ -230,7 +224,7 @@ func (g *Gateway) sendBatchUpstream(b *backend, calls []*upstreamCall) {
 		return
 	}
 	env.attach(req)
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(serve.IntegrityHeader, "crc32")
 	resp, err := g.do(req)
 	// Drop the assembly reference only after Do returns: a backend that
@@ -253,17 +247,6 @@ func (g *Gateway) sendBatchUpstream(b *backend, calls []*upstreamCall) {
 		return
 	}
 	switch {
-	case resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed:
-		// Alive, just an older build without the batch route. Remember and
-		// let every rider retry down the single path.
-		bufPool.Put(rbuf)
-		b.breaker.Record(true)
-		if !b.noBatch.Swap(true) {
-			g.cfg.Logf("gateway: backend %s has no /v1/identify/batch; falling back to single relays", b.url)
-		}
-		deliverAll(errNoBatchEndpoint)
-		return
-
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
 		// Whole-batch shed: penalise once, spill every rider.
 		bufPool.Put(rbuf)
@@ -277,14 +260,14 @@ func (g *Gateway) sendBatchUpstream(b *backend, calls []*upstreamCall) {
 		return
 
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
-		// The backend judged the envelope itself bad (an undersized limit
-		// on its side, or a slot that slipped past ingress validation): a
-		// request problem, not backend health — the single path records a
-		// 4xx as breaker success too. Each rider retries down the single
-		// path for its own per-body verdict instead of sharing the blame.
+		// The backend could not take the frame: no batch route (404/405),
+		// or an undersized limit on its side. That is a request problem,
+		// not backend health — the single path records a 4xx as breaker
+		// success too — and each rider's own body may still be fine, so
+		// every rider goes down the single path for its own verdict.
 		bufPool.Put(rbuf)
 		b.breaker.Record(true)
-		deliverAll(fmt.Errorf("gateway: backend %s rejected a %d-slot batch with HTTP %d", b.url, len(calls), resp.StatusCode))
+		deliverAll(errBatchRefused)
 		return
 
 	case resp.StatusCode != http.StatusOK:
@@ -425,18 +408,10 @@ func (g *Gateway) identifyCoalesced(w http.ResponseWriter, r *http.Request, body
 	g.inflight[ck] = c
 	g.cmu.Unlock()
 
-	// Only a single well-formed JSON value may ride an upstream batch
-	// envelope: a malformed body spliced in would poison the whole batch
-	// with a backend 400, and a crafted one ("{},{}") could smuggle extra
-	// slots. Anything else relays singly (batched=false), where serve
-	// answers its own clean per-request 400. The leader scans alone —
-	// followers are byte-identical, so one validation pass covers the
-	// whole coalesced set instead of costing every rider a body scan.
-	batched := validBatchBody(body.bytes())
 	// The routing key reuses the digest already paid for, keeping the
 	// rendezvous affinity property (same body → same backend).
 	key := binary.LittleEndian.Uint64(digest[:8])
-	ans := g.identify(context.Background(), body, key, batched)
+	ans := g.identify(context.Background(), body, key)
 
 	g.cmu.Lock()
 	delete(g.inflight, ck)

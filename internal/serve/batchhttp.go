@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,16 +17,6 @@ import (
 // exists only so a hostile body cannot queue unbounded work.
 const MaxBatchSlots = 64
 
-// BatchIdentifyRequest is the POST /v1/identify/batch body: N independent
-// identify requests answered in one HTTP round trip. The slots feed the
-// same micro-batching executor the single endpoint uses, admitted
-// together so they run as one blocked batch classification (up to
-// MaxBatch slots per batch) instead of N requests racing each other
-// through the admission queue.
-type BatchIdentifyRequest struct {
-	Requests []json.RawMessage `json:"requests"`
-}
-
 // BatchSlot is one slot of a batch answer. Status and Body are exactly
 // the HTTP status and JSON body the single /v1/identify endpoint would
 // have produced for the slot's request — minus the trailing newline the
@@ -34,8 +25,9 @@ type BatchIdentifyRequest struct {
 // relayed slot byte-identical to a relayed single response.
 type BatchSlot struct {
 	Status int `json:"status"`
-	// ModelVersion mirrors the X-Wimi-Model header of the single path for
-	// 200 slots, so a relay can restore the header without parsing Body.
+	// ModelVersion mirrors the X-Wimi-Model header the single path sends
+	// once it has snapshotted the model — on every slot, malformed ones
+	// included — so a relay can restore the header without parsing Body.
 	ModelVersion string `json:"modelVersion,omitempty"`
 	// RetryAfterSec mirrors the Retry-After header on 429/503 slots.
 	RetryAfterSec int64           `json:"retryAfterSec,omitempty"`
@@ -43,7 +35,7 @@ type BatchSlot struct {
 }
 
 // BatchIdentifyResponse is the POST /v1/identify/batch answer; Results is
-// parallel to the request's Requests.
+// parallel to the request frame's slots.
 type BatchIdentifyResponse struct {
 	Results []BatchSlot `json:"results"`
 }
@@ -62,33 +54,20 @@ func slotError(status int, format string, args ...any) BatchSlot {
 	return BatchSlot{Status: status, Body: slotJSON(map[string]string{"error": fmt.Sprintf(format, args...)})}
 }
 
-// handleBatchIdentify answers POST /v1/identify/batch. Every slot travels
-// the exact machinery of the single path — pooled decode scratch, batcher
-// admission (shedding per slot, not per request), per-slot deadline and
-// error isolation — so slot i's outcome matches what the i-th of N
-// sequential /v1/identify calls would have returned, while the transport
-// cost (HTTP round trip, headers, connection) is paid once. The verdict
-// cache is not consulted here: the batch endpoint exists for gateways,
-// which deduplicate upstream via in-flight coalescing before the batch is
-// ever assembled.
+// handleBatchIdentify answers POST /v1/identify/batch, whose body is a
+// batch frame (frame.go) of raw /v1/identify bodies. A bad frame is
+// rejected whole with 400; inside a good one, every slot travels the exact
+// machinery of the single path — the shared decode, pooled scratch,
+// batcher admission (shedding per slot, not per request), per-slot
+// deadline and error isolation — so slot i's outcome matches what the i-th
+// of N sequential /v1/identify calls would have returned, a malformed slot
+// included, while the transport cost (HTTP round trip, headers,
+// connection) is paid once. The verdict cache is not consulted here: the
+// batch endpoint exists for gateways, which deduplicate upstream via
+// in-flight coalescing before the batch is ever assembled.
 func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	var req BatchIdentifyRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding batch request: %v", err)
-		return
-	}
-	n := len(req.Requests)
-	if n == 0 {
-		httpError(w, http.StatusBadRequest, "batch request needs at least one slot")
-		return
-	}
-	if n > MaxBatchSlots {
-		httpError(w, http.StatusBadRequest, "batch of %d slots exceeds the limit of %d", n, MaxBatchSlots)
 		return
 	}
 	model := s.cfg.Registry.Active()
@@ -96,21 +75,29 @@ func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
+	raw := rawBodyPool.Get().(*bytes.Buffer)
+	raw.Reset()
+	_, err := raw.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	var bodies [][]byte
+	if err == nil {
+		bodies, err = ParseBatchFrame(raw.Bytes())
+	}
+	if err != nil {
+		rawBodyPool.Put(raw)
+		httpError(w, http.StatusBadRequest, "bad batch request: %v", err)
+		return
+	}
 	w.Header().Set(ModelVersionHeader, model.Version)
 
 	// Decode every slot first, then admit them all at once.
+	n := len(bodies)
 	results := make([]BatchSlot, n)
 	jobs := make([]*job, 0, n)
 	scs := make([]*decodeScratch, 0, n) // scs[k] holds jobs[k]'s session
 	slots := make([]int, 0, n)          // slots[k] is the slot jobs[k] answers
-	for i, raw := range req.Requests {
-		var ir IdentifyRequest
-		if err := json.Unmarshal(raw, &ir); err != nil {
-			results[i] = slotError(http.StatusBadRequest, "decoding request: %v", err)
-			continue
-		}
+	for i, body := range bodies {
 		sc := scratchPool.Get().(*decodeScratch)
-		session, err := sc.decodeSession(ir)
+		session, err := sc.decodeSession(body)
 		if err != nil {
 			scratchPool.Put(sc)
 			results[i] = slotError(http.StatusBadRequest, "%v", err)
@@ -120,6 +107,7 @@ func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 		scs = append(scs, sc)
 		slots = append(slots, i)
 	}
+	rawBodyPool.Put(raw) // every slot is decoded; no session aliases the frame
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	for _, j := range jobs {
@@ -151,8 +139,7 @@ func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 			case res.err == nil:
 				s.served.Add(1)
 				results[i] = BatchSlot{
-					Status:       http.StatusOK,
-					ModelVersion: model.Version,
+					Status: http.StatusOK,
 					Body: slotJSON(IdentifyResponse{
 						Material:     res.detail.Material,
 						Omega:        res.detail.Omega,
@@ -174,6 +161,9 @@ func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 			s.timeouts.Add(1)
 			results[i] = slotError(http.StatusGatewayTimeout, "request deadline exceeded")
 		}
+	}
+	for i := range results {
+		results[i].ModelVersion = model.Version
 	}
 	writeJSONIntegrity(w, r, http.StatusOK, BatchIdentifyResponse{Results: results})
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,9 +12,9 @@ import (
 	"repro/internal/material"
 )
 
-func postBatch(t *testing.T, ts *httptest.Server, payload []byte) (*http.Response, []byte) {
+func postBatch(t *testing.T, ts *httptest.Server, frame []byte) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := ts.Client().Post(ts.URL+"/v1/identify/batch", "application/json", bytes.NewReader(payload))
+	resp, err := ts.Client().Post(ts.URL+"/v1/identify/batch", "application/octet-stream", bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,8 @@ func postBatch(t *testing.T, ts *httptest.Server, payload []byte) (*http.Respons
 // contract: slot i of a batch answer, plus the trailing newline the
 // single path's encoder appends, must equal the exact bytes (and status,
 // and model version) of a sequential POST /v1/identify with the same
-// request — for successes AND for per-slot failures.
+// request — for successes AND for per-slot failures, malformed bodies
+// included.
 func TestBatchEndpointSlotsMatchSingleResponses(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
 	s, err := New(Config{Registry: fx.registry, MaxBatch: 4})
@@ -42,19 +42,20 @@ func TestBatchEndpointSlotsMatchSingleResponses(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Mix good sessions with a slot that decodes as JSON but fails session
-	// decoding — its error must also match the single path bit for bit.
-	raws := []json.RawMessage{
+	// Mix good sessions with slots that fail session decoding, JSON
+	// decoding, or carry trailing bytes — their errors must also match the
+	// single path bit for bit.
+	good := encodeRequest(t, fx.sessions[1])
+	raws := [][]byte{
 		encodeRequest(t, fx.sessions[0]),
 		[]byte(`{"baseline":"bm90IGEgdHJhY2U=","target":"bm90IGEgdHJhY2U="}`),
-		encodeRequest(t, fx.sessions[1]),
+		good,
+		[]byte(`{},{}`),
+		good[:len(good)/2],
+		append(slices.Clip(good), "junk"...),
 		encodeRequest(t, fx.sessions[0]),
 	}
-	payload, err := json.Marshal(BatchIdentifyRequest{Requests: raws})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postBatch(t, ts, payload)
+	resp, body := postBatch(t, ts, AppendBatchFrame(nil, raws))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
 	}
@@ -87,7 +88,7 @@ func TestBatchEndpointSlotsMatchSingleResponses(t *testing.T) {
 		if !bytes.Equal(relayed, singleBody) {
 			t.Errorf("slot %d body+newline != single response:\n slot:   %q\n single: %q", i, relayed, singleBody)
 		}
-		if slot.Status == http.StatusOK && slot.ModelVersion != single.Header.Get(ModelVersionHeader) {
+		if slot.ModelVersion != single.Header.Get(ModelVersionHeader) {
 			t.Errorf("slot %d modelVersion %q, single header %q", i, slot.ModelVersion, single.Header.Get(ModelVersionHeader))
 		}
 	}
@@ -116,19 +117,15 @@ func TestBatchEndpointSlotsRunAsOneBatch(t *testing.T) {
 		{slots: maxBatch, batches: []int{maxBatch}},
 		{slots: maxBatch + 3, batches: []int{maxBatch, 3}},
 	} {
-		raws := make([]json.RawMessage, tc.slots)
+		raws := make([][]byte, tc.slots)
 		for i := range raws {
 			raws[i] = encodeRequest(t, fx.sessions[i%len(fx.sessions)])
-		}
-		payload, err := json.Marshal(BatchIdentifyRequest{Requests: raws})
-		if err != nil {
-			t.Fatal(err)
 		}
 		want := s.Stats().BatchSizes
 		for _, n := range tc.batches {
 			want[n-1]++
 		}
-		resp, body := postBatch(t, ts, payload)
+		resp, body := postBatch(t, ts, AppendBatchFrame(nil, raws))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%d slots: status %d: %s", tc.slots, resp.StatusCode, body)
 		}
@@ -157,19 +154,21 @@ func TestBatchEndpointRejectsMalformedAndOversize(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if resp, body := postBatch(t, ts, []byte(`{"requests":[]}`)); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty batch: status %d (%s), want 400", resp.StatusCode, body)
+	// Every way a frame can be bad is in frame_test.go; these show the
+	// handler turns a rejected frame into one 400, the JSON envelope of
+	// earlier builds included.
+	over := make([][]byte, MaxBatchSlots+1)
+	for i := range over {
+		over[i] = []byte(`{}`)
 	}
-	if resp, body := postBatch(t, ts, []byte(`not json`)); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage batch: status %d (%s), want 400", resp.StatusCode, body)
-	}
-	over := BatchIdentifyRequest{Requests: make([]json.RawMessage, MaxBatchSlots+1)}
-	for i := range over.Requests {
-		over.Requests[i] = []byte(`{}`)
-	}
-	payload, _ := json.Marshal(over)
-	if resp, body := postBatch(t, ts, payload); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversize batch: status %d (%s), want 400", resp.StatusCode, body)
+	for name, frame := range map[string][]byte{
+		"empty batch":   AppendBatchFrame(nil, nil),
+		"json envelope": []byte(`{"requests":[{}]}`),
+		"oversize":      AppendBatchFrame(nil, over),
+	} {
+		if resp, body := postBatch(t, ts, frame); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, body)
+		}
 	}
 }
 
@@ -182,8 +181,8 @@ func TestBatchEndpointDrainingAnswers503(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	s.Shutdown()
-	payload := fmt.Appendf(nil, `{"requests":[%s]}`, encodeRequest(t, fx.sessions[0]))
-	if resp, body := postBatch(t, ts, payload); resp.StatusCode != http.StatusServiceUnavailable {
+	frame := AppendBatchFrame(nil, [][]byte{encodeRequest(t, fx.sessions[0])})
+	if resp, body := postBatch(t, ts, frame); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining batch: status %d (%s), want 503", resp.StatusCode, body)
 	}
 }

@@ -325,30 +325,20 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	var req IdentifyRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	// With the verdict cache on, the body is buffered raw so a replayed
-	// request can be answered by digest BEFORE paying the JSON/base64
-	// decode — which dominates the replay path. Cache off keeps the
-	// streaming decoder and buffers nothing.
-	var raw *bytes.Buffer
-	if s.vcache != nil {
-		raw = rawBodyPool.Get().(*bytes.Buffer)
-		raw.Reset()
-		if _, err := raw.ReadFrom(body); err != nil {
-			rawBodyPool.Put(raw)
-			httpError(w, http.StatusBadRequest, "reading request: %v", err)
-			return
-		}
-	} else if err := json.NewDecoder(body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	// Every body is read whole into a pooled buffer, so a replayed request
+	// can be answered by digest before paying the JSON/base64 decode, which
+	// dominates the replay path, and so the decode below is the very one a
+	// batch slot gets.
+	raw := rawBodyPool.Get().(*bytes.Buffer)
+	raw.Reset()
+	if _, err := raw.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		rawBodyPool.Put(raw)
+		httpError(w, http.StatusBadRequest, "reading request: %v", err)
 		return
 	}
 	model := s.cfg.Registry.Active()
 	if model == nil {
-		if raw != nil {
-			rawBodyPool.Put(raw)
-		}
+		rawBodyPool.Put(raw)
 		httpError(w, http.StatusServiceUnavailable, "no model loaded")
 		return
 	}
@@ -377,17 +367,10 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.cacheMisses.Add(1)
-		// json.Unmarshal copies the base64 payloads into fresh slices, so
-		// the raw buffer can go back to the pool immediately after.
-		err := json.Unmarshal(raw.Bytes(), &req)
-		rawBodyPool.Put(raw)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-			return
-		}
 	}
 	sc := scratchPool.Get().(*decodeScratch)
-	session, err := sc.decodeSession(req)
+	session, err := sc.decodeSession(raw.Bytes())
+	rawBodyPool.Put(raw) // the session holds no reference into the raw body
 	if err != nil {
 		scratchPool.Put(sc)
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -530,14 +513,21 @@ type decodeScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
-// rawBodyPool recycles the raw-body buffers the verdict-cache path reads
-// requests into; each grows to body size once and is then reused.
+// rawBodyPool recycles the buffers request bodies are read into; each grows
+// to body size once and is then reused.
 var rawBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// decodeSession parses the two embedded .csitrace streams into the
-// scratch-owned session. The returned session aliases the scratch's arena
-// and is valid until the scratch is pooled again.
-func (sc *decodeScratch) decodeSession(req IdentifyRequest) (*csi.Session, error) {
+// decodeSession decodes one /v1/identify body — the JSON request, then both
+// embedded .csitrace streams — into the scratch-owned session. A single
+// request and every batch slot come through here, so the two paths accept
+// exactly the same bodies and reject the rest with the same error. The
+// returned session aliases the scratch's arena, not body, and is valid
+// until the scratch is pooled again.
+func (sc *decodeScratch) decodeSession(body []byte) (*csi.Session, error) {
+	var req IdentifyRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
 	sc.arena.Reset()
 	if len(req.Baseline) == 0 || len(req.Target) == 0 {
 		return nil, fmt.Errorf("request needs both baseline and target traces")
