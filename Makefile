@@ -20,13 +20,14 @@ bench-build:
 # alloc-guard pins the zero-allocation inference contract: a warmed
 # core.Pipeline identifies without allocating (single, batched, and
 # baseline-cached batched paths), a warmed segmenter ring strides — push,
-# trim, emit, release — without allocating, and a steady-state serve
-# request (plus a steady-state gateway relay) stays under its allocation
-# budget. Run WITHOUT -race (the guards skip themselves under
-# instrumentation).
+# trim, emit, release — without allocating, a warmed trace reader decodes
+# records without allocating, and a steady-state serve request (plus a
+# steady-state gateway relay) stays under its allocation budget. Run
+# WITHOUT -race (the guards skip themselves under instrumentation).
 alloc-guard:
 	go test -count=1 -run 'TestIdentifyPZeroAllocSteadyState|TestIdentifyBatchPZeroAllocSteadyState|TestIdentifyBatchCachedPZeroAllocSteadyState' ./internal/core
 	go test -count=1 -run 'TestSegmenterStrideAllocSteadyState' ./internal/monitor
+	go test -count=1 -run 'TestReaderRecordsDoNotAllocate' ./internal/trace
 	go test -count=1 -run 'TestHandleIdentifyAllocSteadyState' ./internal/serve
 	go test -count=1 -run 'TestGatewayRelayAllocSteadyState' ./internal/gateway
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,8 +10,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/csi"
 	"repro/internal/material"
 	"repro/internal/registry"
+	"repro/internal/simulate"
 )
 
 // BenchmarkServeIdentify measures the end-to-end serve latency: HTTP
@@ -104,4 +107,47 @@ func BenchmarkServeIdentify(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDecodeSession measures the request decode every /v1/identify
+// body and batch slot pays: canonical bodies of 20 and 100 packets per
+// capture take the path without the JSON scanner, and a pretty-printed
+// 20-packet body takes the json.Unmarshal fallback.
+func BenchmarkDecodeSession(b *testing.B) {
+	session := func(packets int) *csi.Session {
+		sc := simulate.Default()
+		sc.Packets = packets
+		s, err := simulate.Session(sc, 11)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return s
+	}
+	s20 := session(20)
+	pretty, err := json.MarshalIndent(IdentifyRequest{
+		Baseline: encodeTrace(b, &s20.Baseline, s20.Carrier),
+		Target:   encodeTrace(b, &s20.Target, s20.Carrier),
+	}, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{
+		{"canonical-20", encodeRequest(b, s20)},
+		{"canonical-100", encodeRequest(b, session(100))},
+		{"pretty-20", pretty},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sc := new(decodeScratch)
+			b.SetBytes(int64(len(bc.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sc.decodeSession(bc.body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -10,7 +10,7 @@ import (
 // cacheKey identifies one verdict: the SHA-256 of the raw request body
 // plus the content hash of the model that answered. Hashing the wire bytes
 // — the same bytes the gateway's rendezvous router hashes — lets a hit be
-// decided before the JSON/base64 decode, which dominates the replay path.
+// decided before the request and trace decode.
 // Binding the model version into the key makes hot-swap invalidation
 // structural — entries written under an old model can never be returned
 // for the new one; they simply stop matching and are evicted by LRU

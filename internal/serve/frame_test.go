@@ -121,22 +121,3 @@ func FuzzBatchFrame(f *testing.F) {
 		}
 	})
 }
-
-// FuzzIdentifyRequest feeds arbitrary bodies to the decode that a single
-// /v1/identify request and every batch slot share: it never panics, and a
-// body it accepts yields a valid session. Seeds
-// (testdata/fuzz/FuzzIdentifyRequest) are a small valid request and the
-// serve corruption cases: non-JSON, missing traces, garbage and corrupted
-// traces, a single-antenna session, trailing bytes, two values and a
-// truncated body.
-func FuzzIdentifyRequest(f *testing.F) {
-	f.Fuzz(func(t *testing.T, body []byte) {
-		session, err := new(decodeScratch).decodeSession(body)
-		if err != nil {
-			return
-		}
-		if err := session.Validate(); err != nil {
-			t.Fatalf("accepted a body whose session is invalid: %v", err)
-		}
-	})
-}

@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -96,7 +97,9 @@ func (c Config) withDefaults() Config {
 
 // IdentifyRequest is the POST /v1/identify body: a measurement session as
 // the same .csitrace byte streams wimi-sim/wimi-collect write, base64
-// inside JSON.
+// inside JSON. The body json.Marshal writes for it is the canonical form
+// serve decodes without the JSON scanner (canonicalTraces), so the field
+// order and tags are part of the fast path.
 type IdentifyRequest struct {
 	Baseline []byte `json:"baseline"`
 	Target   []byte `json:"target"`
@@ -326,9 +329,8 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Every body is read whole into a pooled buffer, so a replayed request
-	// can be answered by digest before paying the JSON/base64 decode, which
-	// dominates the replay path, and so the decode below is the very one a
-	// batch slot gets.
+	// can be answered by digest before paying the request decode, and so
+	// the decode below is the very one a batch slot gets.
 	raw := rawBodyPool.Get().(*bytes.Buffer)
 	raw.Reset()
 	if _, err := raw.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
@@ -523,20 +525,37 @@ var rawBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // exactly the same bodies and reject the rest with the same error. The
 // returned session aliases the scratch's arena, not body, and is valid
 // until the scratch is pooled again.
+//
+// The canonical body, which every in-repo client sends, is decoded
+// without the JSON scanner (canonicalTraces); every other body goes
+// through json.Unmarshal, so both paths decode the same traces and a
+// rejected body gets json.Unmarshal's error either way.
 func (sc *decodeScratch) decodeSession(body []byte) (*csi.Session, error) {
-	var req IdentifyRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
+	buf := traceBufPool.Get().(*[]byte)
+	defer traceBufPool.Put(buf) // the session aliases the arena, never buf
+	baseline, target, ok := canonicalTraces(body, buf)
+	if !ok {
+		var req IdentifyRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, fmt.Errorf("decoding request: %w", err)
+		}
+		baseline, target = req.Baseline, req.Target
 	}
+	return sc.decodeTraces(baseline, target)
+}
+
+// decodeTraces decodes a request's two .csitrace streams into the
+// scratch-owned session.
+func (sc *decodeScratch) decodeTraces(baseline, target []byte) (*csi.Session, error) {
 	sc.arena.Reset()
-	if len(req.Baseline) == 0 || len(req.Target) == 0 {
+	if len(baseline) == 0 || len(target) == 0 {
 		return nil, fmt.Errorf("request needs both baseline and target traces")
 	}
-	carrier, err := sc.decodeTrace(&sc.baseline, req.Baseline)
+	carrier, err := sc.decodeTrace(&sc.baseline, baseline)
 	if err != nil {
 		return nil, fmt.Errorf("baseline trace: %w", err)
 	}
-	if _, err := sc.decodeTrace(&sc.target, req.Target); err != nil {
+	if _, err := sc.decodeTrace(&sc.target, target); err != nil {
 		return nil, fmt.Errorf("target trace: %w", err)
 	}
 	sc.session = csi.Session{Carrier: carrier, Baseline: sc.baseline, Target: sc.target}
@@ -546,8 +565,71 @@ func (sc *decodeScratch) decodeSession(body []byte) (*csi.Session, error) {
 	return &sc.session, nil
 }
 
+// traceBufPool lends decodeSession the buffer the canonical path decodes
+// both traces into; it goes back before decodeSession returns, so a batch
+// holding many decoded slots holds one such buffer at most.
+var traceBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// canonicalTraces decodes the canonical /v1/identify body — exactly what
+// json.Marshal of an IdentifyRequest emits,
+//
+//	{"baseline":"<base64>","target":"<base64>"}
+//
+// followed only by JSON whitespace — straight from body into *buf, and
+// reports false for anything else: escapes, inner whitespace, another key
+// order or spelling, null, or base64 that does not decode. For a body it
+// accepts, json.Unmarshal would decode the very same bytes, because a
+// string with no escapes unquotes to itself and encoding/json decodes a
+// []byte field with the same base64.StdEncoding.Decode.
+func canonicalTraces(body []byte, buf *[]byte) (baseline, target []byte, ok bool) {
+	rest, ok1 := bytes.CutPrefix(body, []byte(`{"baseline":"`))
+	b64Baseline, rest, ok2 := bytes.Cut(rest, []byte(`"`))
+	rest, ok3 := bytes.CutPrefix(rest, []byte(`,"target":"`))
+	b64Target, rest, ok4 := bytes.Cut(rest, []byte(`"`))
+	rest, ok5 := bytes.CutPrefix(rest, []byte(`}`))
+	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || len(bytes.TrimLeft(rest, " \t\r\n")) > 0 {
+		return nil, nil, false
+	}
+	nb := base64.StdEncoding.DecodedLen(len(b64Baseline))
+	n := nb + base64.StdEncoding.DecodedLen(len(b64Target))
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	dst := (*buf)[:n]
+	if baseline, ok = decodeBase64(dst[:nb], b64Baseline); !ok {
+		return nil, nil, false
+	}
+	if target, ok = decodeBase64(dst[nb:], b64Target); !ok {
+		return nil, nil, false
+	}
+	return baseline, target, true
+}
+
+// decodeBase64 decodes one canonical span into dst. The decoder itself
+// rejects any byte outside the standard alphabet and misplaced padding,
+// but it skips '\r' and '\n', which JSON forbids raw inside a string. A
+// decode that skipped any when len(src) is a multiple of four skipped at
+// least four, which costs at least three output bytes against the length
+// the span's padding implies, so the length check sends it to the
+// fallback.
+func decodeBase64(dst, src []byte) ([]byte, bool) {
+	n, err := base64.StdEncoding.Decode(dst, src)
+	if err != nil || len(src)%4 != 0 {
+		return nil, false
+	}
+	want := len(src) / 4 * 3
+	switch {
+	case bytes.HasSuffix(src, []byte("==")):
+		want -= 2
+	case bytes.HasSuffix(src, []byte("=")):
+		want--
+	}
+	return dst[:n], n == want
+}
+
 func (sc *decodeScratch) decodeTrace(dst *csi.Capture, data []byte) (float64, error) {
 	sc.br.Reset(data)
+	defer sc.br.Reset(nil) // data may be a borrowed buffer; keep no reference
 	r, err := trace.NewReader(&sc.br)
 	if err != nil {
 		return 0, err

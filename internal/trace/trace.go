@@ -143,6 +143,12 @@ type Reader struct {
 	tolerant bool
 	stats    Stats
 	payload  []byte // reusable record payload buffer
+	// head and crc receive each record's fixed-size fields (head first
+	// receives the stream header). They live here rather than on the stack
+	// because io.ReadFull's io.Reader would move a local array to the heap
+	// on every record.
+	head [12]byte
+	crc  [4]byte
 	// newMatrix, when set via SetMatrixSource, supplies the matrix each
 	// decoded record fills — the serving decode path points it at an arena.
 	newMatrix func(numAnt int) (*csi.Matrix, error)
@@ -153,15 +159,16 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if r == nil {
 		return nil, fmt.Errorf("trace: nil reader")
 	}
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	tr := &Reader{r: r}
+	magic := tr.head[:4]
+	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	if magic != Magic {
+	if [4]byte(magic) != Magic {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
-	var rest [12]byte
-	if _, err := io.ReadFull(r, rest[:]); err != nil {
+	rest := tr.head[:12]
+	if _, err := io.ReadFull(r, rest); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
 	}
 	hdr := Header{
@@ -178,7 +185,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if hdr.Carrier <= 0 || math.IsNaN(hdr.Carrier) {
 		return nil, fmt.Errorf("trace: header has invalid carrier %v", hdr.Carrier)
 	}
-	return &Reader{r: r, hdr: hdr}, nil
+	tr.hdr = hdr
+	return tr, nil
 }
 
 // Header returns the stream header.
@@ -232,8 +240,8 @@ func (tr *Reader) ReadPacket() (csi.Packet, error) {
 
 // readRecord decodes exactly one framed record.
 func (tr *Reader) readRecord() (csi.Packet, error) {
-	var head [12]byte
-	if _, err := io.ReadFull(tr.r, head[:]); err != nil {
+	head := tr.head[:]
+	if _, err := io.ReadFull(tr.r, head); err != nil {
 		if errors.Is(err, io.EOF) {
 			return csi.Packet{}, io.EOF
 		}
@@ -250,11 +258,10 @@ func (tr *Reader) readRecord() (csi.Packet, error) {
 	if _, err := io.ReadFull(tr.r, payload); err != nil {
 		return csi.Packet{}, fmt.Errorf("trace: reading record payload: %w", err)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(tr.r, crcBuf[:]); err != nil {
+	if _, err := io.ReadFull(tr.r, tr.crc[:]); err != nil {
 		return csi.Packet{}, fmt.Errorf("trace: reading record crc: %w", err)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(tr.crc[:]); got != want {
 		return csi.Packet{}, fmt.Errorf("trace: record %d crc %08x != %08x: %w", seq, got, want, ErrCorrupt)
 	}
 	newMatrix := tr.newMatrix

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/csi"
+	"repro/internal/raceflag"
 )
 
 func randomCapture(t *testing.T, rng *rand.Rand, numAnt, n int) *csi.Capture {
@@ -117,8 +118,8 @@ func TestWritePacketAntennaMismatch(t *testing.T) {
 }
 
 func TestNewReaderBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOPE00000000000000"))); err == nil {
-		t.Error("bad magic should error")
+	if _, err := NewReader(bytes.NewReader([]byte("NOPE00000000000000"))); err == nil || err.Error() != `trace: bad magic "NOPE"` {
+		t.Errorf("bad magic: error %v", err)
 	}
 	if _, err := NewReader(nil); err == nil {
 		t.Error("nil reader should error")
@@ -252,5 +253,41 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReaderRecordsDoNotAllocate pins the streaming decode's steady state:
+// once its payload buffer and an arena matrix source are warm, a reader
+// decodes each further record without a heap allocation.
+func TestReaderRecordsDoNotAllocate(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	const warm, runs = 64, 50
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, 3, 5.32e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteCapture(randomCapture(t, rand.New(rand.NewSource(3)), 3, warm+runs+1)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arena csi.MatrixArena
+	r.SetMatrixSource(arena.NewMatrix)
+	read := func() {
+		if _, err := r.ReadPacket(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ { // grow the arena past what the measured reads need
+		read()
+	}
+	arena.Reset()
+	if avg := testing.AllocsPerRun(runs, read); avg != 0 {
+		t.Fatalf("a warmed reader allocates %.2f times per record, want 0", avg)
 	}
 }
