@@ -9,6 +9,7 @@ package mathx
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -65,20 +66,41 @@ func floatLess(a, b float64) bool {
 	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
+// floatKey maps a non-NaN float64 to a uint64 whose unsigned order is the
+// float's numeric order: negative values flip every bit, the rest only the
+// sign bit. −0 keys just below +0, so ties between the two zeros resolve the
+// same way whatever the arrangement.
+func floatKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
 // kthInPlace rearranges xs so xs[k] holds its k-th smallest element (0-based,
 // sort.Float64s order) and everything before index k orders no later than it.
 // Quickselect with median-of-three pivots: average O(n), versus the O(n log n)
 // full sort the median used to pay on every call of the denoising hot loop.
-// NaN-free input (the overwhelmingly common case) takes a branch-light path
-// comparing with plain <.
+//
+// NaN-free input (the overwhelmingly common case) partitions without a
+// data-dependent branch: each element's floatKey is compared with the
+// pivot's by the borrow of bits.Sub64, and the borrow advances the store
+// index, so real data cannot mispredict the loop the way a float compare
+// does on about half its elements. Keys equal to the pivot's go left on
+// every other index, so runs of duplicates still split the range; a depth
+// budget sorts whatever range an adversarial arrangement or a run of bad
+// pivots leaves. Exact selection returns the same order statistic as any
+// other, so the value never depends on the algorithm.
 func kthInPlace(xs []float64, k int) float64 {
 	for _, v := range xs {
-		if math.IsNaN(v) {
+		if v != v {
 			return kthInPlaceNaN(xs, k)
 		}
 	}
 	lo, hi := 0, len(xs)-1
-	for lo < hi {
+	for budget := 2 * bits.Len(uint(len(xs))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			break
+		}
 		mid := lo + (hi-lo)/2
 		if xs[mid] < xs[lo] {
 			xs[mid], xs[lo] = xs[lo], xs[mid]
@@ -89,30 +111,35 @@ func kthInPlace(xs []float64, k int) float64 {
 		if xs[hi] < xs[mid] {
 			xs[hi], xs[mid] = xs[mid], xs[hi]
 		}
+		// Park the median of three at hi and partition [lo, hi) around it:
+		// afterwards xs[lo:store] orders no later than the pivot and
+		// xs[store:hi] no earlier.
 		pivot := xs[mid]
-		i, j := lo-1, hi+1
-		for {
-			for {
-				i++
-				if xs[i] >= pivot {
-					break
-				}
-			}
-			for {
-				j--
-				if pivot >= xs[j] {
-					break
-				}
-			}
-			if i >= j {
-				break
-			}
-			xs[i], xs[j] = xs[j], xs[i]
+		xs[mid], xs[hi] = xs[hi], pivot
+		pk := floatKey(pivot)
+		store := lo
+		var flip uint64
+		for i := lo; i < hi; i++ {
+			v := xs[i]
+			// The borrow is 1 when v's key is below pk+flip: always for keys
+			// below the pivot's, never above it, and on every other
+			// element for keys equal to it. pk+1 cannot overflow: the
+			// largest non-NaN key, +Inf's, is far below MaxUint64.
+			_, take := bits.Sub64(floatKey(v), pk+flip, 0)
+			xs[i] = xs[store]
+			xs[store] = v
+			store += int(take)
+			flip ^= 1
 		}
-		if k <= j {
-			hi = j
-		} else {
-			lo = j + 1
+		xs[hi] = xs[store]
+		xs[store] = pivot
+		switch {
+		case k < store:
+			hi = store - 1
+		case k > store:
+			lo = store + 1
+		default:
+			return pivot
 		}
 	}
 	return xs[k]
@@ -164,32 +191,11 @@ func kthInPlaceNaN(xs []float64, k int) float64 {
 	return xs[k]
 }
 
-// insertionSortFloats sorts xs in sort.Float64s order; it beats quickselect's
-// pivot machinery for the tiny slices rolling-window filters produce.
-func insertionSortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && floatLess(v, xs[j]) {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
-}
-
 // medianInPlace returns the median of buf, scrambling buf in the process.
 func medianInPlace(buf []float64) float64 {
 	n := len(buf)
 	if n == 0 {
 		return math.NaN()
-	}
-	if n <= 16 {
-		insertionSortFloats(buf)
-		if n%2 == 1 {
-			return buf[n/2]
-		}
-		return buf[n/2-1]/2 + buf[n/2]/2
 	}
 	hi := kthInPlace(buf, n/2)
 	if n%2 == 1 {

@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -346,41 +347,111 @@ func sortMedian(xs []float64) float64 {
 	return tmp[n/2-1]/2 + tmp[n/2]/2
 }
 
-func TestMedianMatchesSortReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 500; trial++ {
-		n := 1 + rng.Intn(60)
+// sameFloat is == that also equates two NaNs.
+func sameFloat(a, b float64) bool {
+	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// medianShapes returns the input shapes the selection kernel must get
+// exactly right at length n: random, all-equal, two-valued, sorted,
+// reversed, organ-pipe, mixed signed zeros, with infinities, and with NaNs.
+func medianShapes(rng *rand.Rand, n int) map[string][]float64 {
+	gen := func(f func(i int) float64) []float64 {
 		xs := make([]float64, n)
 		for i := range xs {
-			switch rng.Intn(10) {
-			case 0:
-				xs[i] = float64(rng.Intn(4)) // force duplicates
-			case 1:
-				xs[i] = math.Inf(1 - 2*rng.Intn(2))
-			default:
-				xs[i] = rng.NormFloat64() * 100
+			xs[i] = f(i)
+		}
+		return xs
+	}
+	return map[string][]float64{
+		"normal":     gen(func(int) float64 { return rng.NormFloat64() * 100 }),
+		"all-equal":  gen(func(int) float64 { return 3.5 }),
+		"two-valued": gen(func(int) float64 { return float64(rng.Intn(2)) }),
+		"sorted":     gen(func(i int) float64 { return float64(i) }),
+		"reversed":   gen(func(i int) float64 { return float64(n - i) }),
+		"organ-pipe": gen(func(i int) float64 { return float64(min(i, n-1-i)) }),
+		"signed-zeros": gen(func(int) float64 {
+			return []float64{0, math.Copysign(0, -1), 1, -1}[rng.Intn(4)]
+		}),
+		"infinities": gen(func(int) float64 {
+			if rng.Intn(4) == 0 {
+				return math.Inf(1 - 2*rng.Intn(2))
 			}
+			return rng.NormFloat64()
+		}),
+		"nan": gen(func(int) float64 {
+			if rng.Intn(5) == 0 {
+				return math.NaN()
+			}
+			return rng.NormFloat64()
+		}),
+	}
+}
+
+// checkMedianFamily compares every median entry point on xs against the
+// sort.Float64s reference, bit for bit up to the sign of zero and NaN
+// payloads, and checks xs is left untouched.
+func checkMedianFamily(t *testing.T, name string, xs []float64) {
+	t.Helper()
+	orig := append([]float64(nil), xs...)
+	want := sortMedian(xs)
+	dev := make([]float64, len(xs))
+	for i, x := range xs {
+		dev[i] = math.Abs(x - want)
+	}
+	wantSig := sortMedian(dev) / 0.6745
+	if got := Median(xs); !sameFloat(got, want) {
+		t.Fatalf("%s n=%d: Median = %v, sort reference %v", name, len(xs), got, want)
+	}
+	if got, _ := MedianBuf(xs, make([]float64, 3)); !sameFloat(got, want) {
+		t.Fatalf("%s n=%d: MedianBuf = %v, sort reference %v", name, len(xs), got, want)
+	}
+	if med, sig := MedianAndMADStdDev(xs); !sameFloat(med, want) || !sameFloat(sig, wantSig) {
+		t.Fatalf("%s n=%d: MedianAndMADStdDev = (%v, %v), sort reference (%v, %v)", name, len(xs), med, sig, want, wantSig)
+	}
+	if med, sig, _ := MedianAndMADStdDevBuf(xs, nil); !sameFloat(med, want) || !sameFloat(sig, wantSig) {
+		t.Fatalf("%s n=%d: MedianAndMADStdDevBuf = (%v, %v), sort reference (%v, %v)", name, len(xs), med, sig, want, wantSig)
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+			t.Fatalf("%s n=%d: input mutated at %d", name, len(xs), i)
 		}
-		got, want := Median(xs), sortMedian(xs)
-		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("trial %d: Median(%v) = %v, sort reference %v", trial, xs, got, want)
+	}
+}
+
+func TestMedianMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sizes := []int{1000}
+	for n := 1; n <= 130; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for name, xs := range medianShapes(rng, n) {
+			checkMedianFamily(t, name, xs)
 		}
 	}
-	// Already-sorted and reverse-sorted runs exercise the pivot code.
-	asc := make([]float64, 101)
-	for i := range asc {
-		asc[i] = float64(i)
+}
+
+// FuzzMedian checks the median family against the sort reference on
+// arbitrary float64 bit patterns, eight bytes per element.
+func FuzzMedian(f *testing.F) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{1, 2, 7, 16, 17, 64, 101} {
+		for _, xs := range medianShapes(rng, n) {
+			buf := make([]byte, 0, 8*n)
+			for _, x := range xs {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+			}
+			f.Add(buf)
+		}
 	}
-	if got := Median(asc); got != 50 {
-		t.Fatalf("sorted run: Median = %v, want 50", got)
-	}
-	desc := make([]float64, 100)
-	for i := range desc {
-		desc[i] = float64(len(desc) - i)
-	}
-	if got, want := Median(desc), sortMedian(desc); got != want {
-		t.Fatalf("reverse run: Median = %v, want %v", got, want)
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		xs := make([]float64, len(data)/8)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		checkMedianFamily(t, "fuzz", xs)
+	})
 }
 
 func TestMedianWithNaNsMatchesSortReference(t *testing.T) {
@@ -412,16 +483,44 @@ func TestMedianDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// BenchmarkMedian times MedianBuf on 100-element inputs. The distinct case
+// rotates over many different random slices, so the branch predictor
+// cannot learn one input's comparison outcomes the way it does when the
+// same slice repeats; the all-equal and two-valued cases time duplicate
+// runs.
 func BenchmarkMedian(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 64)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
+	const n, distinct = 100, 512
+	inputs := map[string][][]float64{}
+	for i := 0; i < distinct; i++ {
+		xs := make([]float64, n)
+		for j := range xs {
+			xs[j] = rng.NormFloat64()
+		}
+		inputs["distinct"] = append(inputs["distinct"], xs)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Median(xs)
+	equal := make([]float64, n)
+	for j := range equal {
+		equal[j] = 1.25
+	}
+	inputs["all-equal"] = [][]float64{equal}
+	for i := 0; i < distinct; i++ {
+		xs := make([]float64, n)
+		for j := range xs {
+			xs[j] = float64(rng.Intn(2))
+		}
+		inputs["two-valued"] = append(inputs["two-valued"], xs)
+	}
+	for _, name := range []string{"distinct", "all-equal", "two-valued"} {
+		set := inputs[name]
+		b.Run(name, func(b *testing.B) {
+			buf := make([]float64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, buf = MedianBuf(set[i%len(set)], buf)
+			}
+		})
 	}
 }
 
