@@ -1,12 +1,18 @@
-.PHONY: check build vet test race bench bench-allocs bench-compare bench-build microbench serve-smoke cluster-smoke hub-smoke svm-determinism alloc-guard profile fuzz
+.PHONY: check fmt build vet test race bench bench-allocs bench-compare bench-build microbench serve-smoke cluster-smoke hub-smoke svm-determinism alloc-guard profile fuzz
 
-# The full pre-merge gate: vet, build, the SVM determinism contract, the
-# test suite under the race detector (the transport/faults/serve layers are
-# concurrent; -race is the point), the steady-state allocation guards, the
-# binary smoke tests (single-node serve, the gateway cluster drill with a
-# backend killed mid-burst, then the 1000-stream monitor-hub fleet drill)
-# and the benchmark module's build.
-check: vet build svm-determinism race alloc-guard serve-smoke cluster-smoke hub-smoke bench-build
+# The full pre-merge gate: formatting, vet, build, the SVM determinism
+# contract, the test suite under the race detector (the
+# transport/faults/serve layers are concurrent; -race is the point), the
+# steady-state allocation guards, the binary smoke tests (single-node
+# serve, the gateway cluster drill with a backend killed mid-burst, then
+# the 1000-stream monitor-hub fleet drill) and the benchmark module's
+# build.
+check: fmt vet build svm-determinism race alloc-guard serve-smoke cluster-smoke hub-smoke bench-build
+
+# fmt fails when gofmt would change any Go file in the repository (the
+# benchmark module included) and lists those files.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 # bench-build vets the whole-journey benchmark harness (benchmark/, its
 # own Go module) and compiles its tests without running them. It imports

@@ -114,7 +114,9 @@ func measureMicro(name string, fn func()) benchMicro {
 
 // microBenchmarks exercises the three hot components the allocation
 // overhaul targeted: the FFT plan (power-of-two and Bluestein sizes), the
-// pooled wavelet-correlation denoiser, and Gram-cached SVM training.
+// pooled wavelet-correlation denoiser, and Gram-cached SVM training; then
+// SVM prediction, the warmed identification pipeline, and the serve,
+// gateway and hub tiers.
 func microBenchmarks() []benchMicro {
 	rng := rand.New(rand.NewSource(99))
 
@@ -183,6 +185,7 @@ func microBenchmarks() []benchMicro {
 		}),
 	}
 	micro = append(micro, svmPredictMicros(x, labels)...)
+	micro = append(micro, pipelineMicroBenchmarks()...)
 	micro = append(micro, serveMicroBenchmarks()...)
 	micro = append(micro, gatewayMicroBenchmarks()...)
 	return append(micro, hubMicroBenchmarks()...)

@@ -11,7 +11,7 @@ import (
 
 // guardIdentifier trains a small identifier plus probe sessions for the
 // allocation and reuse guards.
-func guardIdentifier(t *testing.T) (*core.Identifier, []*csi.Session) {
+func guardIdentifier(t testing.TB) (*core.Identifier, []*csi.Session) {
 	t.Helper()
 	sessions, labels := liquidSessions(t, []string{material.PureWater, material.Honey, material.Oil}, 3)
 	id, err := core.TrainIdentifier(sessions, labels, core.IdentifierConfig{Pipeline: core.DefaultConfig()})

@@ -114,7 +114,7 @@ func (pl *Pipeline) baselineMeanPhaseDiff(s *csi.Session, pair AntennaPair, sub 
 			return v, nil
 		}
 	}
-	v, err := pl.meanPhaseDiff(&s.Baseline, pair, sub)
+	v, err := meanPhaseDiff(&s.Baseline, pair, sub)
 	if err == nil && bc != nil {
 		bc.putPhase(pair, sub, v)
 	}

@@ -137,11 +137,11 @@ func RankPairs(c *csi.Capture, good []int, cfg Config) ([]PairStability, error) 
 	for _, pair := range pairs {
 		var pv, rv float64
 		for _, sub := range good {
-			pd, err := c.PhaseDiffSeries(pair.A, pair.B, sub)
+			v, err := phaseDiffVariance(c, pair, sub)
 			if err != nil {
 				return nil, err
 			}
-			pv += mathx.CircularVariance(pd)
+			pv += v
 			rs, err := c.AmplitudeRatioSeries(pair.A, pair.B, sub)
 			if err != nil {
 				return nil, err

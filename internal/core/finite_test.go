@@ -1,0 +1,218 @@
+package core_test
+
+import (
+	"encoding/binary"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/csi"
+	"repro/wimi"
+)
+
+// withValue returns a copy of s whose target (or baseline) capture holds v
+// at one packet, antenna and subcarrier. Only the touched matrix is
+// cloned, so the other capture keeps its identity for a BaselineCache.
+func withValue(s *csi.Session, baseline bool, pkt, ant, sub int, v complex128) *csi.Session {
+	out := *s
+	c := &out.Target
+	if baseline {
+		c = &out.Baseline
+	}
+	c.Packets = append([]csi.Packet(nil), c.Packets...)
+	c.Packets[pkt].CSI = c.Packets[pkt].CSI.Clone()
+	c.Packets[pkt].CSI.Values[ant][sub] = v
+	return &out
+}
+
+// pathResult is one identification path's answer: a verdict or an error.
+type pathResult struct {
+	path string
+	det  core.Detail
+	err  error
+}
+
+// identifyEveryPath runs s through every route to a verdict: the pipeline
+// entry points, the allocating wrappers, the batch (with clean neighbours
+// that must stay unaffected), the baseline-cached single and batch paths
+// (the hub's) with a cache warmed on clean, and the wimi facade.
+func identifyEveryPath(t *testing.T, id *core.Identifier, clean, s *csi.Session, cfg wimi.PipelineConfig) []pathResult {
+	t.Helper()
+	var out []pathResult
+	add := func(path string, det core.Detail, err error) {
+		out = append(out, pathResult{path, det, err})
+	}
+	det, err := id.IdentifyDetailedP(core.NewPipeline(), s)
+	add("IdentifyDetailedP", det, err)
+	if d, err := id.IdentifyDetailed(s); err != nil {
+		add("IdentifyDetailed", core.Detail{}, err)
+	} else {
+		add("IdentifyDetailed", *d, nil)
+	}
+	label, err := id.Identify(s)
+	add("Identify", core.Detail{Material: label, Confidence: 1}, err)
+	label, conf, err := id.IdentifyWithConfidence(s)
+	add("IdentifyWithConfidence", core.Detail{Material: label, Confidence: conf}, err)
+	nov, err := id.NoveltyScore(s)
+	add("NoveltyScore", core.Detail{Omega: nov}, err)
+
+	var bs core.BatchScratch
+	pls := []*core.Pipeline{core.NewPipeline(), core.NewPipeline(), core.NewPipeline()}
+	dets, errs := id.IdentifyDetailedBatchP(&bs, pls, []*csi.Session{clean, s, clean}, 1)
+	for _, i := range []int{0, 2} {
+		if errs[i] != nil {
+			t.Fatalf("clean batch neighbour %d failed: %v", i, errs[i])
+		}
+	}
+	add("IdentifyDetailedBatchP", dets[1], errs[1])
+
+	bc := &core.BaselineCache{}
+	if _, err := id.IdentifyDetailedCachedP(core.NewPipeline(), clean, bc); err != nil {
+		t.Fatal(err)
+	}
+	det, err = id.IdentifyDetailedCachedP(core.NewPipeline(), s, bc)
+	add("IdentifyDetailedCachedP", det, err)
+	dets, errs = id.IdentifyDetailedBatchCachedP(&bs, pls[:1], []*csi.Session{s}, []*core.BaselineCache{bc}, 1)
+	add("IdentifyDetailedBatchCachedP", dets[0], errs[0])
+
+	feats, err := wimi.ExtractFeatures(s, cfg)
+	det = core.Detail{Confidence: 1}
+	if err == nil {
+		det.Omega = feats.Pairs[0].Omega
+	}
+	add("wimi.ExtractFeatures", det, err)
+	return out
+}
+
+// checkFinite fails on a verdict carrying a non-finite Ω or a confidence
+// outside [0, 1].
+func checkFinite(t *testing.T, what string, r pathResult) {
+	t.Helper()
+	if r.err != nil {
+		return
+	}
+	if math.IsNaN(r.det.Omega) || math.IsInf(r.det.Omega, 0) || !(r.det.Confidence >= 0 && r.det.Confidence <= 1) {
+		t.Fatalf("%s: %s answered %+v", what, r.path, r.det)
+	}
+}
+
+// TestNonFiniteCSINeverGetsAVerdict pins the finite-input contract on
+// every core path: a non-finite CSI value at a subcarrier the model uses
+// is an error, never a verdict built on it, while the same value at an
+// unused subcarrier, a huge finite value and an exact zero still get
+// ordinary verdicts.
+func TestNonFiniteCSINeverGetsAVerdict(t *testing.T) {
+	id, sessions := guardIdentifier(t)
+	cfg := core.DefaultConfig()
+	good, err := core.CalibrateSubcarriers(sessions, core.AntennaPair{A: 0, B: 1}, cfg.GoodSubcarriers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ForcedSubcarriers = good // the set TrainIdentifier pinned
+	used := map[int]bool{}
+	for _, sub := range good {
+		used[sub] = true
+	}
+	unused := csi.NumSubcarriers - 1
+	for used[unused] {
+		unused--
+	}
+	clean := sessions[0]
+	inf, nan := math.Inf(1), math.NaN()
+	nonFinite := map[string]complex128{
+		"+Inf":   complex(inf, 0),
+		"-Inf·i": complex(0, -inf),
+		"NaN":    complex(nan, 0),
+	}
+	for name, v := range nonFinite {
+		for _, sub := range []int{good[0], good[len(good)-1]} {
+			for _, baseline := range []bool{false, true} {
+				s := withValue(clean, baseline, 3, 0, sub, v)
+				for _, r := range identifyEveryPath(t, id, clean, s, cfg) {
+					if r.err == nil {
+						t.Errorf("%s at used subcarrier %d (baseline %v): %s answered %+v", name, sub, baseline, r.path, r.det)
+					}
+				}
+			}
+		}
+		s := withValue(clean, false, 3, 0, unused, v)
+		for _, r := range identifyEveryPath(t, id, clean, s, cfg) {
+			if r.err != nil {
+				t.Errorf("%s at unused subcarrier %d: %s failed: %v", name, unused, r.path, r.err)
+			}
+			checkFinite(t, name+" unused", r)
+		}
+	}
+	// NaN keeps the rejection it always had, word for word.
+	_, err = id.IdentifyDetailedP(core.NewPipeline(), withValue(clean, false, 3, 0, good[0], complex(nan, 0)))
+	if err == nil || !strings.Contains(err.Error(), "phase difference has no defined mean") {
+		t.Errorf("NaN at a used subcarrier: error %v, want the undefined-mean rejection", err)
+	}
+	for name, v := range map[string]complex128{"1e300": complex(1e300, 0), "zero": 0} {
+		s := withValue(clean, false, 3, 0, good[0], v)
+		for _, r := range identifyEveryPath(t, id, clean, s, cfg) {
+			if r.err != nil {
+				t.Errorf("%s at used subcarrier %d: %s failed: %v", name, good[0], r.path, r.err)
+			}
+			checkFinite(t, name, r)
+		}
+	}
+}
+
+// fuzzRecordLen is the size of one FuzzIdentifyPipeline edit: an address
+// byte (bit 0 picks the baseline, bit 1 the imaginary part), packet,
+// antenna and subcarrier bytes (each reduced modulo its range), then the
+// little-endian bits of the float64 written there.
+const fuzzRecordLen = 12
+
+// FuzzIdentifyPipeline writes arbitrary float64 bit patterns (NaN, ±Inf,
+// subnormals, zeros, ±1e308, ...) into the CSI of a session and runs it
+// through the sequential and batch paths against a model trained once.
+// Every input must end in an error or in a finite Ω with a confidence in
+// [0, 1], and both paths must answer bit-identically.
+func FuzzIdentifyPipeline(f *testing.F) {
+	id, sessions := guardIdentifier(f)
+	base := sessions[0]
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := *base
+		for _, c := range []*csi.Capture{&s.Baseline, &s.Target} {
+			c.Packets = append([]csi.Packet(nil), c.Packets...)
+			for i := range c.Packets {
+				c.Packets[i].CSI = c.Packets[i].CSI.Clone()
+			}
+		}
+		for ; len(data) >= fuzzRecordLen; data = data[fuzzRecordLen:] {
+			c := &s.Target
+			if data[0]&1 != 0 {
+				c = &s.Baseline
+			}
+			m := c.Packets[int(data[1])%c.Len()].CSI
+			row := m.Values[int(data[2])%m.NumAntennas()]
+			sub := int(data[3]) % csi.NumSubcarriers
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data[4:]))
+			if data[0]&2 != 0 {
+				row[sub] = complex(real(row[sub]), x)
+			} else {
+				row[sub] = complex(x, imag(row[sub]))
+			}
+		}
+		seq, seqErr := id.IdentifyDetailedP(core.NewPipeline(), &s)
+		var bs core.BatchScratch
+		dets, errs := id.IdentifyDetailedBatchP(&bs, []*core.Pipeline{core.NewPipeline(), core.NewPipeline()}, []*csi.Session{base, &s}, 1)
+		if errs[0] != nil {
+			t.Fatalf("clean batch neighbour failed: %v", errs[0])
+		}
+		checkFinite(t, "sequential", pathResult{"IdentifyDetailedP", seq, seqErr})
+		if (seqErr == nil) != (errs[1] == nil) || (seqErr != nil && seqErr.Error() != errs[1].Error()) {
+			t.Fatalf("sequential error %v, batch error %v", seqErr, errs[1])
+		}
+		if seqErr == nil {
+			b := dets[1]
+			if b.Material != seq.Material || math.Float64bits(b.Omega) != math.Float64bits(seq.Omega) ||
+				math.Float64bits(b.Confidence) != math.Float64bits(seq.Confidence) {
+				t.Fatalf("batch %+v != sequential %+v", b, seq)
+			}
+		}
+	})
+}

@@ -12,7 +12,7 @@ import (
 )
 
 // liquidSessions generates `trials` lab sessions for each named liquid.
-func liquidSessions(t *testing.T, liquids []string, trials int) (sessions []*csi.Session, labels []string) {
+func liquidSessions(t testing.TB, liquids []string, trials int) (sessions []*csi.Session, labels []string) {
 	t.Helper()
 	db := material.PaperDatabase()
 	for mi, name := range liquids {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/csi"
@@ -13,18 +14,54 @@ import (
 // the paper. Circular variance is used so wrap-around at ±π does not
 // inflate the estimate.
 func SubcarrierVariances(c *csi.Capture, pair AntennaPair) ([]float64, error) {
+	return subcarrierVariancesInto(nil, c, pair)
+}
+
+// subcarrierVariancesInto is SubcarrierVariances writing into dst (grown as
+// needed and returned): the one variance computation behind calibration,
+// public selection and the pipeline's selection, so all three rank
+// identical numbers.
+func subcarrierVariancesInto(dst []float64, c *csi.Capture, pair AntennaPair) ([]float64, error) {
 	if c.Len() == 0 {
 		return nil, fmt.Errorf("core: empty capture")
 	}
-	out := make([]float64, csi.NumSubcarriers)
-	for sub := 0; sub < csi.NumSubcarriers; sub++ {
-		series, err := c.PhaseDiffSeries(pair.A, pair.B, sub)
+	dst = growFloats(dst, csi.NumSubcarriers)
+	for sub := range dst {
+		v, err := phaseDiffVariance(c, pair, sub)
 		if err != nil {
 			return nil, fmt.Errorf("core: subcarrier %d: %w", sub, err)
 		}
-		out[sub] = mathx.CircularVariance(series)
+		dst[sub] = v
 	}
-	return out, nil
+	return dst, nil
+}
+
+// phaseDiffVariance is the circular variance 1 − |R|/n of the inter-antenna
+// phase difference at one subcarrier, from the resultant R of the capture's
+// n unit phasors (NaN for an empty capture).
+func phaseDiffVariance(c *csi.Capture, pair AntennaPair, sub int) (float64, error) {
+	x, y, err := c.PhaseDiffResultant(pair.A, pair.B, sub)
+	if err != nil {
+		return 0, err
+	}
+	return 1 - math.Hypot(x, y)/float64(c.Len()), nil
+}
+
+// meanPhaseDiff is the circular-mean inter-antenna phase difference at one
+// subcarrier over a capture, the argument of its resultant — the ΔZ
+// averaging of Eq. 6 ("removed by averaging it over a time window"). A
+// resultant too short to define a direction, or a NaN one (a non-finite
+// CSI value), is an error.
+func meanPhaseDiff(c *csi.Capture, pair AntennaPair, sub int) (float64, error) {
+	x, y, err := c.PhaseDiffResultant(pair.A, pair.B, sub)
+	if err != nil {
+		return 0, err
+	}
+	m := math.Atan2(y, x)
+	if math.Hypot(x, y) < 1e-12 || m != m {
+		return 0, fmt.Errorf("core: phase difference has no defined mean at subcarrier %d", sub)
+	}
+	return m, nil
 }
 
 // SelectGoodSubcarriers returns the p subcarrier indices with the smallest

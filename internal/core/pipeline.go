@@ -14,11 +14,11 @@ import (
 )
 
 // Pipeline owns every piece of scratch one end-to-end identification needs —
-// phase-difference and amplitude series, 3σ outlier buffers, the wavelet
-// workspace, subcarrier-selection variance vectors, the feature backing, the
-// scaled classifier input and the SVM vote buffers — so a warmed pipeline
-// runs a whole session from CSI matrices to material verdict without a
-// single heap allocation.
+// amplitude series, 3σ outlier buffers, the wavelet workspace,
+// subcarrier-selection variance vectors, the feature backing, the scaled
+// classifier input and the SVM vote buffers — so a warmed pipeline runs a
+// whole session from CSI matrices to material verdict without a single heap
+// allocation.
 //
 // A Pipeline is NOT safe for concurrent use: keep one per goroutine, or let
 // the compatibility wrappers (Identify, ExtractFeatures, ...) borrow one
@@ -33,7 +33,6 @@ type Pipeline struct {
 	dcfg dwt.DenoiseConfig
 
 	// Per-series scratch of the denoising cascade (Sec. III-C).
-	phase      []float64 // inter-antenna phase-difference series
 	ampA, ampB []float64 // raw amplitude series of the pair
 	clean      []float64 // 3σ-cleaned series (shared by both antennas)
 	mask       []bool    // 3σ outlier mask
@@ -237,39 +236,6 @@ func (pl *Pipeline) amplitudeRatio(c *csi.Capture, pair AntennaPair, sub int, cf
 	return med, nil
 }
 
-// meanPhaseDiff extracts the circular-mean inter-antenna phase difference
-// at one subcarrier over a capture, on pipeline scratch — the ΔZ averaging
-// of Eq. 6 ("removed by averaging it over a time window").
-func (pl *Pipeline) meanPhaseDiff(c *csi.Capture, pair AntennaPair, sub int) (float64, error) {
-	var err error
-	pl.phase, err = c.PhaseDiffSeriesInto(pl.phase, pair.A, pair.B, sub)
-	if err != nil {
-		return 0, err
-	}
-	m := mathx.CircularMean(pl.phase)
-	if m != m { // NaN: balanced phasors
-		return 0, fmt.Errorf("core: phase difference has no defined mean at subcarrier %d", sub)
-	}
-	return m, nil
-}
-
-// subcarrierVariancesInto mirrors SubcarrierVariances into a caller buffer.
-func (pl *Pipeline) subcarrierVariancesInto(dst []float64, c *csi.Capture, pair AntennaPair) ([]float64, error) {
-	if c.Len() == 0 {
-		return nil, fmt.Errorf("core: empty capture")
-	}
-	dst = growFloats(dst, csi.NumSubcarriers)
-	for sub := 0; sub < csi.NumSubcarriers; sub++ {
-		var err error
-		pl.phase, err = c.PhaseDiffSeriesInto(pl.phase, pair.A, pair.B, sub)
-		if err != nil {
-			return nil, fmt.Errorf("core: subcarrier %d: %w", sub, err)
-		}
-		dst[sub] = mathx.CircularVariance(pl.phase)
-	}
-	return dst, nil
-}
-
 // selectGoodSubcarriersSession mirrors SelectGoodSubcarriersSession; the
 // returned slice is pipeline scratch (pl.good). The baseline half of the
 // variance vector reads through bc when a cache is attached.
@@ -282,7 +248,7 @@ func (pl *Pipeline) selectGoodSubcarriersSession(s *csi.Session, pair AntennaPai
 		pl.varBase = growFloats(pl.varBase, csi.NumSubcarriers)
 		copy(pl.varBase, bc.varBase)
 	} else {
-		pl.varBase, err = pl.subcarrierVariancesInto(pl.varBase, &s.Baseline, pair)
+		pl.varBase, err = subcarrierVariancesInto(pl.varBase, &s.Baseline, pair)
 		if err != nil {
 			return nil, fmt.Errorf("core: baseline variances: %w", err)
 		}
@@ -292,7 +258,7 @@ func (pl *Pipeline) selectGoodSubcarriersSession(s *csi.Session, pair AntennaPai
 			bc.varPair, bc.hasVar = pair, true
 		}
 	}
-	pl.varTarget, err = pl.subcarrierVariancesInto(pl.varTarget, &s.Target, pair)
+	pl.varTarget, err = subcarrierVariancesInto(pl.varTarget, &s.Target, pair)
 	if err != nil {
 		return nil, fmt.Errorf("core: target variances: %w", err)
 	}
@@ -316,7 +282,7 @@ func (pl *Pipeline) extractPairFeature(s *csi.Session, pair AntennaPair, good []
 	pl.psis = pl.psis[:0]
 	for _, sub := range good {
 		// Eq. 18: ΔΘ = (φ̃tar,A − φ̃tar,B) − (φ̃free,A − φ̃free,B).
-		tgt, err := pl.meanPhaseDiff(&s.Target, pair, sub)
+		tgt, err := meanPhaseDiff(&s.Target, pair, sub)
 		if err != nil {
 			return pf, err
 		}
@@ -438,6 +404,13 @@ func (pl *Pipeline) extractFeaturesCached(s *csi.Session, cfg Config, bc *Baseli
 		num := -math.Log(pf.DeltaPsi)
 		den := pf.DeltaTheta + 2*math.Pi*float64(pf.Gamma)
 		out.Vector = append(out.Vector, pf.Omega, math.Atan2(num, den), den, num)
+	}
+	// Finite-input contract: no verdict is built on a non-finite value. The
+	// vector carries every pair's Ω̄, so this one pass covers both.
+	for i, v := range out.Vector {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("core: non-finite feature component %d (%v)", i, v)
+		}
 	}
 	return out, nil
 }

@@ -345,6 +345,41 @@ func (c *Capture) PhaseDiffSeriesInto(dst []float64, antA, antB, sub int) ([]flo
 	return out, nil
 }
 
+// PhaseDiffResultant sums, over the capture, the unit phasors of the
+// per-packet inter-antenna product z = a·conj(b) at one subcarrier — the
+// resultant R whose argument is the circular mean of the phase difference
+// and whose length gives its circular variance 1 − |R|/n (Eqs. 6-7). z is
+// formed exactly as PhaseDiffSeriesInto forms it, and its phasor is z/|z|:
+// one Hypot per packet instead of the atan2 and Sincos of a round trip
+// through the angle. A zero product keeps the angle path's phasor, that of
+// atan2(±0, ±0) with π folded to −π. A non-finite product (a non-finite
+// CSI value, or an overflow) has no phasor and makes R NaN. Errors match
+// PhaseDiffSeriesInto's.
+func (c *Capture) PhaseDiffResultant(antA, antB, sub int) (x, y float64, err error) {
+	for i := range c.Packets {
+		v := c.Packets[i].CSI.Values
+		if uint(antA) >= uint(len(v)) || uint(antB) >= uint(len(v)) || uint(sub) >= NumSubcarriers {
+			_, err := c.Packets[i].CSI.PhaseDiff(antA, antB, sub)
+			return 0, 0, fmt.Errorf("csi: packet %d: %w", i, err)
+		}
+		z := v[antA][sub] * cmplx.Conj(v[antB][sub])
+		re, im := real(z), imag(z)
+		if h := math.Hypot(re, im); h != 0 {
+			x += re / h
+			y += im / h
+			continue
+		}
+		d := math.Atan2(im, re)
+		if d >= math.Pi {
+			d = -math.Pi
+		}
+		sin, cos := math.Sincos(d)
+		x += cos
+		y += sin
+	}
+	return x, y, nil
+}
+
 // AmplitudeSeries extracts per-packet |H| at one antenna and subcarrier.
 func (c *Capture) AmplitudeSeries(ant, sub int) ([]float64, error) {
 	return c.AmplitudeSeriesInto(nil, ant, sub)

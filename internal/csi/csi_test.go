@@ -291,3 +291,115 @@ func TestPhaseDiffAntisymmetryProperty(t *testing.T) {
 		}
 	}
 }
+
+// angleResultant is the angle round trip PhaseDiffResultant replaced: the
+// phase-difference series, then each angle's unit phasor from Sincos.
+func angleResultant(t *testing.T, c *Capture, antA, antB, sub int) (x, y float64) {
+	t.Helper()
+	series, err := c.PhaseDiffSeries(antA, antB, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range series {
+		s, co := math.Sincos(d)
+		x += co
+		y += s
+	}
+	return x, y
+}
+
+// captureOf builds a capture whose packet i holds a[i] at antenna 0 and
+// b[i] at antenna 1, subcarrier 0.
+func captureOf(t *testing.T, a, b []complex128) *Capture {
+	t.Helper()
+	c := &Capture{}
+	for i := range a {
+		m, err := NewMatrix(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Values[0][0], m.Values[1][0] = a[i], b[i]
+		c.Packets = append(c.Packets, Packet{Seq: uint32(i), CSI: m})
+	}
+	return c
+}
+
+func TestPhaseResultantMatchesAngles(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	// Finite inputs: the mean (one atan2 of the resultant) and the variance
+	// 1 − |R|/n agree with the angle path's to 1e-12, for tight clusters,
+	// clusters straddling ±π, wide spreads and tiny or huge magnitudes.
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(120)
+		centre := (rng.Float64()*2 - 1) * math.Pi
+		if trial%5 == 0 {
+			centre = math.Pi - 0.01
+		}
+		spread := []float64{0.01, 0.3, 1.5}[trial%3]
+		scale := []float64{1, 1e-150, 1e150}[trial%3]
+		a := make([]complex128, n)
+		b := make([]complex128, n)
+		for i := range a {
+			pa := centre + spread*rng.NormFloat64()
+			pb := 2 * math.Pi * rng.Float64()
+			a[i] = cmplx.Rect(scale*(0.5+rng.Float64()), pa+pb)
+			b[i] = cmplx.Rect(0.5+rng.Float64(), pb)
+		}
+		c := captureOf(t, a, b)
+		x, y, err := c.PhaseDiffResultant(0, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wx, wy := angleResultant(t, c, 0, 1, 0)
+		if d := math.Abs(mathx.AngleDiff(math.Atan2(y, x), math.Atan2(wy, wx))); d > 1e-12 {
+			t.Fatalf("trial %d: mean differs from the angle path by %v", trial, d)
+		}
+		v := 1 - math.Hypot(x, y)/float64(n)
+		wv := 1 - math.Hypot(wx, wy)/float64(n)
+		if math.Abs(v-wv) > 1e-12 {
+			t.Fatalf("trial %d: variance %v, angle path %v", trial, v, wv)
+		}
+	}
+	// A zero product keeps the angle path's phasor bit for bit: a +0 real
+	// part gives atan2(±0, +0) = ±0, and a −0 one (here an underflow)
+	// gives π, folded to −π.
+	tiny, negZero := 1e-200, math.Copysign(0, -1)
+	for _, tc := range []struct {
+		a, b  complex128
+		angle float64
+	}{
+		{0, 1, 0},
+		{complex(tiny, 0), complex(0, tiny), 0},
+		{complex(-tiny, 0), complex(tiny, negZero), -math.Pi},
+	} {
+		c := captureOf(t, []complex128{tc.a}, []complex128{tc.b})
+		if d, _ := c.PhaseDiffSeries(0, 1, 0); d[0] != tc.angle {
+			t.Fatalf("%v·conj(%v): angle path gives %v, case expects %v", tc.a, tc.b, d[0], tc.angle)
+		}
+		x, y, err := c.PhaseDiffResultant(0, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wx, wy := angleResultant(t, c, 0, 1, 0)
+		if math.Float64bits(x) != math.Float64bits(wx) || math.Float64bits(y) != math.Float64bits(wy) {
+			t.Errorf("zero product of %v·conj(%v): phasor (%v, %v), angle path (%v, %v)", tc.a, tc.b, x, y, wx, wy)
+		}
+	}
+	// A non-finite product has no phasor: the resultant is NaN.
+	for _, v := range []complex128{complex(math.NaN(), 0), complex(math.Inf(1), 0), complex(0, math.Inf(-1))} {
+		c := captureOf(t, []complex128{1, v, 1i}, []complex128{1, 1, 1})
+		x, y, err := c.PhaseDiffResultant(0, 1, 0)
+		if err != nil || !math.IsNaN(x) || !math.IsNaN(y) {
+			t.Errorf("%v in the capture: resultant (%v, %v, %v), want NaN", v, x, y, err)
+		}
+	}
+	// Out-of-range arguments fail with PhaseDiffSeriesInto's error.
+	c := captureOf(t, []complex128{1, 1}, []complex128{1, 1})
+	for _, args := range [][3]int{{0, 2, 0}, {-1, 1, 0}, {0, 1, NumSubcarriers}} {
+		_, _, err := c.PhaseDiffResultant(args[0], args[1], args[2])
+		_, want := c.PhaseDiffSeriesInto(nil, args[0], args[1], args[2])
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("args %v: error %v, PhaseDiffSeriesInto's %v", args, err, want)
+		}
+	}
+}

@@ -49,46 +49,6 @@ func CircularMean(angles []float64) float64 {
 	return math.Atan2(sy, sx)
 }
 
-// CircularVariance returns 1-R where R is the mean resultant length of the
-// unit phasors of the angles. It is 0 for identical angles and approaches 1
-// for angles uniformly spread over the circle. Returns NaN for empty input.
-func CircularVariance(angles []float64) float64 {
-	if len(angles) == 0 {
-		return math.NaN()
-	}
-	var sx, sy float64
-	for _, a := range angles {
-		s, c := math.Sincos(a)
-		sx += c
-		sy += s
-	}
-	r := math.Hypot(sx, sy) / float64(len(angles))
-	return 1 - r
-}
-
-// CircularStdDev returns the circular standard deviation sqrt(-2 ln R) in
-// radians. It diverges as the distribution approaches uniform. Returns NaN
-// for empty input.
-func CircularStdDev(angles []float64) float64 {
-	if len(angles) == 0 {
-		return math.NaN()
-	}
-	var sx, sy float64
-	for _, a := range angles {
-		s, c := math.Sincos(a)
-		sx += c
-		sy += s
-	}
-	r := math.Hypot(sx, sy) / float64(len(angles))
-	if r <= 0 {
-		return math.Inf(1)
-	}
-	if r >= 1 {
-		return 0
-	}
-	return math.Sqrt(-2 * math.Log(r))
-}
-
 // AngularSpreadDeg returns the full angular fluctuation of the angles in
 // degrees, measured as the 5th-to-95th percentile span of deviations from
 // the circular mean. This is the "angular fluctuation is around 18 degrees"

@@ -91,37 +91,6 @@ func TestCircularMean(t *testing.T) {
 	}
 }
 
-func TestCircularVariance(t *testing.T) {
-	if got := CircularVariance([]float64{1, 1, 1}); !AlmostEqual(got, 0, 1e-12) {
-		t.Errorf("identical angles variance = %v, want 0", got)
-	}
-	// Uniform coverage approaches 1.
-	n := 1000
-	angles := make([]float64, n)
-	for i := range angles {
-		angles[i] = 2 * math.Pi * float64(i) / float64(n)
-	}
-	if got := CircularVariance(angles); got < 0.99 {
-		t.Errorf("uniform angles variance = %v, want ≈1", got)
-	}
-}
-
-func TestCircularStdDev(t *testing.T) {
-	if got := CircularStdDev([]float64{0.5, 0.5}); got != 0 {
-		t.Errorf("identical angles stddev = %v, want 0", got)
-	}
-	// Tight Gaussian cluster: circular stddev ≈ linear stddev.
-	rng := rand.New(rand.NewSource(7))
-	angles := make([]float64, 5000)
-	for i := range angles {
-		angles[i] = rng.NormFloat64() * 0.1
-	}
-	got := CircularStdDev(angles)
-	if math.Abs(got-0.1) > 0.01 {
-		t.Errorf("CircularStdDev of N(0, 0.1²) = %v, want ≈0.1", got)
-	}
-}
-
 func TestAngularSpreadDeg(t *testing.T) {
 	// A tight cluster has a small spread.
 	cluster := []float64{0.0, 0.05, -0.05, 0.02, -0.02, 0.04, -0.04, 0.01, -0.01, 0.03}

@@ -244,19 +244,19 @@ type StreamState struct {
 	Candidate      string  `json:"candidate,omitempty"`
 	CandidateRun   int     `json:"candidate_run,omitempty"`
 
-	Packets    uint64 `json:"packets"`
-	Sessions   uint64 `json:"sessions"`
-	Pending    int    `json:"pending"`
-	Identified uint64 `json:"identified"`
-	Shed       uint64 `json:"shed"`
-	Failed     uint64 `json:"failed,omitempty"`
-	LowConf    uint64 `json:"low_confidence,omitempty"`
-	Swaps      uint64 `json:"swaps,omitempty"`
-	Degenerate uint64 `json:"degenerate,omitempty"`
+	Packets     uint64 `json:"packets"`
+	Sessions    uint64 `json:"sessions"`
+	Pending     int    `json:"pending"`
+	Identified  uint64 `json:"identified"`
+	Shed        uint64 `json:"shed"`
+	Failed      uint64 `json:"failed,omitempty"`
+	LowConf     uint64 `json:"low_confidence,omitempty"`
+	Swaps       uint64 `json:"swaps,omitempty"`
+	Degenerate  uint64 `json:"degenerate,omitempty"`
 	Rebaselines uint64 `json:"rebaselines,omitempty"`
-	Reconnects uint64 `json:"reconnects,omitempty"`
-	Duplicates uint64 `json:"duplicates,omitempty"`
-	CRCSkipped uint64 `json:"crc_skipped,omitempty"`
+	Reconnects  uint64 `json:"reconnects,omitempty"`
+	Duplicates  uint64 `json:"duplicates,omitempty"`
+	CRCSkipped  uint64 `json:"crc_skipped,omitempty"`
 
 	LastError string `json:"last_error,omitempty"`
 }

@@ -353,28 +353,35 @@ func TestMultipathMakesSubcarrierVarianceUneven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := make([][]float64, csi.NumSubcarriers)
+	var c csi.Capture
 	for pkt := 0; pkt < 60; pkt++ {
 		m, err := ch.Sample(rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for sub := 0; sub < csi.NumSubcarriers; sub++ {
-			d, err := m.PhaseDiff(0, 1, sub)
-			if err != nil {
-				t.Fatal(err)
-			}
-			series[sub] = append(series[sub], d)
-		}
+		c.Packets = append(c.Packets, csi.Packet{CSI: m})
 	}
-	variances := make([]float64, csi.NumSubcarriers)
-	for sub, s := range series {
-		variances[sub] = mathx.CircularVariance(s)
-	}
+	variances := phaseDiffVariances(t, &c)
 	lo, hi := mathx.Min(variances), mathx.Max(variances)
 	if hi < 3*lo {
 		t.Errorf("subcarrier variances too uniform: min %v max %v (want frequency diversity)", lo, hi)
 	}
+}
+
+// phaseDiffVariances is the per-subcarrier circular variance 1 − |R|/n of
+// the antenna 0/1 phase difference over a capture, R being the resultant of
+// its unit phasors.
+func phaseDiffVariances(t *testing.T, c *csi.Capture) []float64 {
+	t.Helper()
+	out := make([]float64, csi.NumSubcarriers)
+	for sub := range out {
+		x, y, err := c.PhaseDiffResultant(0, 1, sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[sub] = 1 - math.Hypot(x, y)/float64(c.Len())
+	}
+	return out
 }
 
 func TestMoreMultipathMoreVariance(t *testing.T) {
@@ -388,22 +395,15 @@ func TestMoreMultipathMoreVariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		series := make([][]float64, csi.NumSubcarriers)
+		var c csi.Capture
 		for pkt := 0; pkt < 50; pkt++ {
 			m, err := ch.Sample(rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for sub := 0; sub < csi.NumSubcarriers; sub++ {
-				d, _ := m.PhaseDiff(0, 1, sub)
-				series[sub] = append(series[sub], d)
-			}
+			c.Packets = append(c.Packets, csi.Packet{CSI: m})
 		}
-		var sum float64
-		for _, s := range series {
-			sum += mathx.CircularVariance(s)
-		}
-		return sum / csi.NumSubcarriers
+		return mathx.Mean(phaseDiffVariances(t, &c))
 	}
 	// Average over several seeds to avoid constellation luck.
 	var hall, lib float64

@@ -40,18 +40,12 @@ type BatchIdentifyResponse struct {
 	Results []BatchSlot `json:"results"`
 }
 
-// slotJSON renders a slot body: the same compact encoding the single
-// path's pooled encoder produces, without the trailing newline.
-func slotJSON(v any) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(map[string]string{"error": err.Error()})
-	}
-	return b
-}
-
+// slotError renders a failed slot. Slot bodies are the same compact
+// encoding the single path's pooled encoder produces, without the trailing
+// newline.
 func slotError(status int, format string, args ...any) BatchSlot {
-	return BatchSlot{Status: status, Body: slotJSON(map[string]string{"error": fmt.Sprintf(format, args...)})}
+	b, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
+	return BatchSlot{Status: status, Body: b}
 }
 
 // handleBatchIdentify answers POST /v1/identify/batch, whose body is a
@@ -137,16 +131,20 @@ func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 			scratchPool.Put(scs[k])
 			switch {
 			case res.err == nil:
-				s.served.Add(1)
-				results[i] = BatchSlot{
-					Status: http.StatusOK,
-					Body: slotJSON(IdentifyResponse{
-						Material:     res.detail.Material,
-						Omega:        res.detail.Omega,
-						Confidence:   res.detail.Confidence,
-						ModelVersion: model.Version,
-					}),
+				body, err := json.Marshal(IdentifyResponse{
+					Material:     res.detail.Material,
+					Omega:        res.detail.Omega,
+					Confidence:   res.detail.Confidence,
+					ModelVersion: model.Version,
+				})
+				if err != nil {
+					// The single path's answer to an unencodable verdict.
+					s.failed.Add(1)
+					results[i] = slotError(http.StatusInternalServerError, "encoding response: %v", err)
+					continue
 				}
+				s.served.Add(1)
+				results[i] = BatchSlot{Status: http.StatusOK, Body: body}
 			case errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled):
 				s.timeouts.Add(1)
 				results[i] = slotError(http.StatusGatewayTimeout, "request deadline exceeded while queued")

@@ -1,0 +1,91 @@
+package serve
+
+import (
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/csi"
+	"repro/internal/material"
+)
+
+// TestNonFiniteCSINeverGetsAVerdict is the serving half of the
+// finite-input contract: a capture with a non-finite CSI value at a
+// subcarrier the model uses answers 422 on /v1/identify, in a batch slot
+// and with the verdict cache on (where the retry is computed again, never
+// a hit), and every such answer counts as failed, never served.
+func TestNonFiniteCSINeverGetsAVerdict(t *testing.T) {
+	fx := newFixture(t, []string{material.PureWater, material.Honey, material.Oil})
+	good, err := core.CalibrateSubcarriers(fx.sessions, core.AntennaPair{A: 0, B: 1}, core.DefaultConfig().GoodSubcarriers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Registry: fx.registry, MaxBatch: 4, VerdictCache: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	clean := encodeRequest(t, fx.sessions[0])
+	for name, v := range map[string]complex128{
+		"+Inf":   complex(math.Inf(1), 0),
+		"-Inf·i": complex(0, math.Inf(-1)),
+		"NaN":    complex(math.NaN(), 0),
+	} {
+		bad := *fx.sessions[0]
+		bad.Target.Packets = append([]csi.Packet(nil), bad.Target.Packets...)
+		bad.Target.Packets[3].CSI = bad.Target.Packets[3].CSI.Clone()
+		bad.Target.Packets[3].CSI.Values[0][good[0]] = v
+		body := encodeRequest(t, &bad)
+
+		before := s.Stats()
+		for try := 0; try < 2; try++ {
+			if resp, _ := postIdentify(t, ts, body); resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Fatalf("%s try %d: /v1/identify status %d, want 422", name, try, resp.StatusCode)
+			}
+		}
+		resp, raw := postBatch(t, ts, AppendBatchFrame(nil, [][]byte{clean, body, clean}))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: batch status %d", name, resp.StatusCode)
+		}
+		var out BatchIdentifyResponse
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []int{http.StatusOK, http.StatusUnprocessableEntity, http.StatusOK} {
+			if out.Results[i].Status != want {
+				t.Fatalf("%s: batch slot %d status %d, want %d: %s", name, i, out.Results[i].Status, want, out.Results[i].Body)
+			}
+		}
+		after := s.Stats()
+		if after.CacheHits != before.CacheHits {
+			t.Errorf("%s: a rejected request was answered from the verdict cache", name)
+		}
+		if got := after.Failed - before.Failed; got != 3 {
+			t.Errorf("%s: failed rose by %d, want 3 (two singles, one slot)", name, got)
+		}
+		if got := after.Served - before.Served; got != 2 {
+			t.Errorf("%s: served rose by %d, want 2 (the clean slots)", name, got)
+		}
+	}
+}
+
+// TestWriteJSONAnswers500OnEncodeError pins that the status follows the
+// encoding: a value the encoder rejects answers 500 with the encoder's
+// error, never the intended status over an empty body.
+func TestWriteJSONAnswers500OnEncodeError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, IdentifyResponse{Material: "pure-water", Omega: math.NaN(), Confidence: 1})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if body := rec.Body.String(); !strings.Contains(body, `"error":"encoding response: json: unsupported value: NaN"`) {
+		t.Fatalf("body %q lacks the encoder's error", body)
+	}
+}

@@ -408,16 +408,25 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusUnprocessableEntity, "identification failed: %v", res.err)
 			return
 		}
-		s.served.Add(1)
-		if s.vcache != nil {
-			s.vcache.put(vkey, res.detail)
-		}
-		writeJSONIntegrity(w, r, http.StatusOK, IdentifyResponse{
+		// Encode before choosing the status, and cache only what went out
+		// as a 200: a verdict that cannot be encoded is a failure, never
+		// an empty 200 or a cached one.
+		e, ok := encodeJSON(IdentifyResponse{
 			Material:     res.detail.Material,
 			Omega:        res.detail.Omega,
 			Confidence:   res.detail.Confidence,
 			ModelVersion: model.Version,
 		})
+		if !ok {
+			s.failed.Add(1)
+			e.send(w, r, http.StatusInternalServerError)
+			return
+		}
+		s.served.Add(1)
+		if s.vcache != nil {
+			s.vcache.put(vkey, res.detail)
+		}
+		e.send(w, r, http.StatusOK)
 	case <-ctx.Done():
 		// The batch worker may still be reading the session: the scratch
 		// must NOT go back to the pool. The garbage collector reclaims it
@@ -752,24 +761,26 @@ var jsonEncPool = sync.Pool{New: func() any {
 	return e
 }}
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	e := jsonEncPool.Get().(*jsonEncoder)
+// encodeJSON encodes v into a pooled encoder before any status is chosen.
+// When v cannot be encoded (a NaN, say) the body becomes the encoder's
+// error instead and ok is false, so the caller answers 500 rather than
+// its intended status over an empty body. send releases the encoder.
+func encodeJSON(v any) (e *jsonEncoder, ok bool) {
+	e = jsonEncPool.Get().(*jsonEncoder)
 	e.buf.Reset()
-	_ = e.enc.Encode(v)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(e.buf.Bytes())
-	jsonEncPool.Put(e)
+	if err := e.enc.Encode(v); err != nil {
+		e.buf.Reset()
+		_ = e.enc.Encode(map[string]string{"error": "encoding response: " + err.Error()})
+		return e, false
+	}
+	return e, true
 }
 
-// writeJSONIntegrity is writeJSON plus the opt-in body checksum: when the
-// request carried IntegrityHeader, the encoded body's CRC32 goes into
-// BodyCRCHeader before the write. Non-opted requests pay nothing.
-func writeJSONIntegrity(w http.ResponseWriter, r *http.Request, status int, v any) {
-	e := jsonEncPool.Get().(*jsonEncoder)
-	e.buf.Reset()
-	_ = e.enc.Encode(v)
-	if r.Header.Get(IntegrityHeader) == "crc32" {
+// send writes the encoded body with status and returns the encoder to the
+// pool. A non-nil r that carried IntegrityHeader gets the body's CRC32 in
+// BodyCRCHeader; non-opted requests pay nothing.
+func (e *jsonEncoder) send(w http.ResponseWriter, r *http.Request, status int) {
+	if r != nil && r.Header.Get(IntegrityHeader) == "crc32" {
 		sum := crc32.ChecksumIEEE(e.buf.Bytes())
 		w.Header().Set(BodyCRCHeader, strconv.FormatUint(uint64(sum), 10))
 	}
@@ -777,6 +788,21 @@ func writeJSONIntegrity(w http.ResponseWriter, r *http.Request, status int, v an
 	w.WriteHeader(status)
 	_, _ = w.Write(e.buf.Bytes())
 	jsonEncPool.Put(e)
+}
+
+// writeJSON answers status with v's encoding, or 500 when v cannot be
+// encoded.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	writeJSONIntegrity(w, nil, status, v)
+}
+
+// writeJSONIntegrity is writeJSON plus the opt-in body checksum of send.
+func writeJSONIntegrity(w http.ResponseWriter, r *http.Request, status int, v any) {
+	e, ok := encodeJSON(v)
+	if !ok {
+		status = http.StatusInternalServerError
+	}
+	e.send(w, r, status)
 }
 
 // writeRawJSON sends a pre-encoded JSON body.
