@@ -185,7 +185,6 @@ func microBenchmarks() []benchMicro {
 		}),
 	}
 	micro = append(micro, svmPredictMicros(x, labels)...)
-	micro = append(micro, pipelineMicroBenchmarks()...)
 	micro = append(micro, serveMicroBenchmarks()...)
 	micro = append(micro, gatewayMicroBenchmarks()...)
 	return append(micro, hubMicroBenchmarks()...)

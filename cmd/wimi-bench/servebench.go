@@ -98,6 +98,28 @@ func serveMicroBenchmarks() []benchMicro {
 			panic(err)
 		}
 	})
+	// The same layer on 20- and 100-packet sessions, rotating over 8
+	// distinct ones so the branch predictor cannot learn a single
+	// repeated input the way it learns core-identify-pooled's.
+	var pipeline []benchMicro
+	for _, packets := range []int{20, 100} {
+		sessions := make([]*wimi.Session, 8)
+		for i := range sessions {
+			sc := wimi.DefaultScenario()
+			sc.Liquid = wimi.MustLiquid([]string{wimi.PureWater, wimi.Honey, wimi.Oil}[i%3])
+			sc.Packets = packets
+			if sessions[i], err = wimi.Simulate(sc, int64(700_001+i*7919)); err != nil {
+				panic(err)
+			}
+		}
+		next := 0
+		pipeline = append(pipeline, measureMicro(fmt.Sprintf("pipeline-identify-%d", packets), func() {
+			if _, err := id.IdentifyDetailedP(pl, sessions[next]); err != nil {
+				panic(err)
+			}
+			next = (next + 1) % len(sessions)
+		}))
+	}
 
 	coldClient := coldTS.Client()
 	single := measureMicro("BenchmarkServeIdentify/single", func() {
@@ -114,7 +136,7 @@ func serveMicroBenchmarks() []benchMicro {
 	batched := measureMicro("BenchmarkServeIdentify/batched8", func() {
 		post8(cachedClient, cachedTS.URL)
 	})
-	return []benchMicro{pooled, single, batched, batchedCold}
+	return append([]benchMicro{pooled, single, batched, batchedCold}, pipeline...)
 }
 
 // registryActive opens the model fresh and returns its identifier, so the

@@ -315,14 +315,7 @@ func growSeries(buf []float64, n int) []float64 {
 // PhaseDiffSeries extracts the per-packet inter-antenna phase difference at
 // one subcarrier across the whole capture.
 func (c *Capture) PhaseDiffSeries(antA, antB, sub int) ([]float64, error) {
-	return c.PhaseDiffSeriesInto(nil, antA, antB, sub)
-}
-
-// PhaseDiffSeriesInto is PhaseDiffSeries writing into dst (grown as needed
-// and returned), so per-(pair, subcarrier) extraction loops reuse one
-// buffer instead of allocating a series per call. dst may be nil.
-func (c *Capture) PhaseDiffSeriesInto(dst []float64, antA, antB, sub int) ([]float64, error) {
-	out := growSeries(dst, len(c.Packets))
+	out := make([]float64, len(c.Packets))
 	for i := range c.Packets {
 		v := c.Packets[i].CSI.Values
 		if uint(antA) >= uint(len(v)) || uint(antB) >= uint(len(v)) || uint(sub) >= NumSubcarriers {
@@ -349,12 +342,12 @@ func (c *Capture) PhaseDiffSeriesInto(dst []float64, antA, antB, sub int) ([]flo
 // per-packet inter-antenna product z = a·conj(b) at one subcarrier — the
 // resultant R whose argument is the circular mean of the phase difference
 // and whose length gives its circular variance 1 − |R|/n (Eqs. 6-7). z is
-// formed exactly as PhaseDiffSeriesInto forms it, and its phasor is z/|z|:
+// formed exactly as PhaseDiffSeries forms it, and its phasor is z/|z|:
 // one Hypot per packet instead of the atan2 and Sincos of a round trip
 // through the angle. A zero product keeps the angle path's phasor, that of
 // atan2(±0, ±0) with π folded to −π. A non-finite product (a non-finite
 // CSI value, or an overflow) has no phasor and makes R NaN. Errors match
-// PhaseDiffSeriesInto's.
+// PhaseDiffSeries's.
 func (c *Capture) PhaseDiffResultant(antA, antB, sub int) (x, y float64, err error) {
 	for i := range c.Packets {
 		v := c.Packets[i].CSI.Values

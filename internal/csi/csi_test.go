@@ -393,13 +393,13 @@ func TestPhaseResultantMatchesAngles(t *testing.T) {
 			t.Errorf("%v in the capture: resultant (%v, %v, %v), want NaN", v, x, y, err)
 		}
 	}
-	// Out-of-range arguments fail with PhaseDiffSeriesInto's error.
+	// Out-of-range arguments fail with PhaseDiffSeries's error.
 	c := captureOf(t, []complex128{1, 1}, []complex128{1, 1})
 	for _, args := range [][3]int{{0, 2, 0}, {-1, 1, 0}, {0, 1, NumSubcarriers}} {
 		_, _, err := c.PhaseDiffResultant(args[0], args[1], args[2])
-		_, want := c.PhaseDiffSeriesInto(nil, args[0], args[1], args[2])
+		_, want := c.PhaseDiffSeries(args[0], args[1], args[2])
 		if err == nil || want == nil || err.Error() != want.Error() {
-			t.Errorf("args %v: error %v, PhaseDiffSeriesInto's %v", args, err, want)
+			t.Errorf("args %v: error %v, PhaseDiffSeries's %v", args, err, want)
 		}
 	}
 }
