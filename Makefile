@@ -1,13 +1,13 @@
-.PHONY: check fmt build vet test race bench bench-allocs bench-compare bench-build microbench serve-smoke cluster-smoke hub-smoke svm-determinism alloc-guard profile fuzz
+.PHONY: check fmt build vet test race race-stress bench bench-allocs bench-compare bench-build microbench serve-smoke cluster-smoke hub-smoke svm-determinism alloc-guard profile fuzz
 
 # The full pre-merge gate: formatting, vet, build, the SVM determinism
 # contract, the test suite under the race detector (the
 # transport/faults/serve layers are concurrent; -race is the point), the
-# steady-state allocation guards, the binary smoke tests (single-node
-# serve, the gateway cluster drill with a backend killed mid-burst, then
-# the 1000-stream monitor-hub fleet drill) and the benchmark module's
-# build.
-check: fmt vet build svm-determinism race alloc-guard serve-smoke cluster-smoke hub-smoke bench-build
+# repeated race run of serve's admission state, the steady-state
+# allocation guards, the binary smoke tests (single-node serve, the
+# gateway cluster drill with a backend killed mid-burst, then the
+# 1000-stream monitor-hub fleet drill) and the benchmark module's build.
+check: fmt vet build svm-determinism race race-stress alloc-guard serve-smoke cluster-smoke hub-smoke bench-build
 
 # fmt fails when gofmt would change any Go file in the repository (the
 # benchmark module included) and lists those files.
@@ -90,6 +90,13 @@ test:
 
 race:
 	go test -race ./...
+
+# race-stress repeats the tests that reach serve's shared admission state —
+# the admission count, the pipeline-slot semaphore and the outcome
+# counters — from many goroutines at once, ten times under the race
+# detector: one clean run of concurrent code proves little.
+race-stress:
+	go test -race -count=10 -run 'TestAdmissionBoundsAndCounters|TestShedsWith429WhenSaturated|TestShutdownDrainsAdmittedRequests|TestBatchedIdentifyMatchesSingleHTTP|TestBatchEndpointSlotsMatchSingleResponses' ./internal/serve
 
 # bench runs the full evaluation harness and writes a dated benchmark record
 # (per-experiment wall time + component microbenchmarks) for bench-compare.

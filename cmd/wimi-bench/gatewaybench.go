@@ -62,7 +62,6 @@ func gatewayMicroBenchmarks() []benchMicro {
 	}
 	backend, err := serve.New(serve.Config{
 		Registry:   reg,
-		MaxBatch:   8,
 		QueueDepth: 256,
 	})
 	if err != nil {

@@ -31,8 +31,8 @@ import (
 //	                                     gate
 //	BenchmarkServeIdentify/batched8-cold the same eight concurrent posts
 //	                                     with the cache off: every op pays
-//	                                     decode + DSP + blocked batch
-//	                                     classification
+//	                                     decode, DSP and classification,
+//	                                     one pipeline per request
 func serveMicroBenchmarks() []benchMicro {
 	dir, err := os.MkdirTemp("", "wimi-servebench")
 	if err != nil {
@@ -50,7 +50,6 @@ func serveMicroBenchmarks() []benchMicro {
 		}
 		s, err := serve.New(serve.Config{
 			Registry:     reg,
-			MaxBatch:     8,
 			QueueDepth:   256,
 			VerdictCache: verdictCache,
 		})

@@ -247,9 +247,10 @@ func batchFire(client *http.Client, target string, bodies [][]byte, size int, re
 
 // printServeStats summarises the target's batching behaviour after the
 // run. A gateway target answers /v1/cluster (coalescing, upstream batch
-// histogram, connection reuse); a bare wimi-serve answers /readyz (batch
-// executor histogram, verdict cache). All histogram mass at size 1 means
-// the load pattern never actually coalesced.
+// histogram, connection reuse); a bare wimi-serve answers /readyz (how
+// many captures each admitted request carried, verdict cache). Serve runs
+// one pipeline per capture, so its histogram counts requests, not
+// batches: mass above size 1 comes only from batch frames.
 func printServeStats(out io.Writer, client *http.Client, target string) error {
 	if done, err := printGatewayStats(out, client, target); done || err != nil {
 		return err
@@ -266,21 +267,21 @@ func printServeStats(out io.Writer, client *http.Client, target string) error {
 		return fmt.Errorf("decoding %s/readyz (is the target a wimi-serve?): %w", target, err)
 	}
 	st := ready.Stats
-	var batches, coalesced uint64
-	fmt.Fprint(out, "wimi-load: batch sizes")
+	var requests, framed uint64
+	fmt.Fprint(out, "wimi-load: captures per request")
 	for i, n := range st.BatchSizes {
-		batches += n
+		requests += n
 		if i > 0 {
-			coalesced += n
+			framed += n
 		}
 		if n > 0 {
 			fmt.Fprintf(out, " %d:%d", i+1, n)
 		}
 	}
-	if batches == 0 {
-		fmt.Fprint(out, " (no batches executed)")
+	if requests == 0 {
+		fmt.Fprint(out, " (no requests admitted)")
 	} else {
-		fmt.Fprintf(out, " (%d batches, %.0f%% coalesced)", batches, 100*float64(coalesced)/float64(batches))
+		fmt.Fprintf(out, " (%d requests, %.0f%% frames of several)", requests, 100*float64(framed)/float64(requests))
 	}
 	fmt.Fprintf(out, " cache hits=%d misses=%d\n", st.CacheHits, st.CacheMisses)
 	return nil

@@ -1,8 +1,9 @@
 // wimi-serve is the online identification daemon: it loads a trained
 // model from a versioned registry (a model file or a directory of model
-// files) and answers identification requests over HTTP/JSON with request
-// micro-batching, bounded admission (429 + Retry-After when saturated),
-// per-request deadlines and graceful drain on SIGINT/SIGTERM. SIGHUP (or
+// files) and answers identification requests over HTTP/JSON, each on its
+// own goroutine behind a counting semaphore of pipeline slots, with
+// bounded admission (429 + Retry-After when saturated), per-request
+// deadlines and graceful drain on SIGINT/SIGTERM. SIGHUP (or
 // POST /v1/reload) hot-swaps the model without dropping in-flight
 // requests.
 //
@@ -49,10 +50,9 @@ func run(args []string, out *os.File) error {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8077", "listen address (port 0 picks a free port)")
 		modelPath  = fs.String("model", "", "model file or directory of model files (required)")
-		queueDepth = fs.Int("queue", 64, "admission queue depth; beyond it requests shed with 429")
-		maxBatch   = fs.Int("batch", 8, "max requests coalesced into one batch")
+		queueDepth = fs.Int("queue", 64, "requests that may wait for a pipeline slot; beyond them requests shed with 429")
 		deadline   = fs.Duration("deadline", 10*time.Second, "per-request deadline (queueing + pipeline)")
-		workers    = fs.Int("workers", 0, "pipeline workers per batch (0 = GOMAXPROCS)")
+		workers    = fs.Int("workers", 0, "pipelines that run at once (0 = GOMAXPROCS)")
 		drainWait  = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 		vcache     = fs.Int("verdict-cache", 0, "verdict-cache entries: identical captures replayed against the same model answer without re-running the pipeline (0 disables)")
@@ -69,7 +69,6 @@ func run(args []string, out *os.File) error {
 	}
 	s, err := serve.New(serve.Config{
 		Registry:       reg,
-		MaxBatch:       *maxBatch,
 		QueueDepth:     *queueDepth,
 		Workers:        *workers,
 		RequestTimeout: *deadline,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/csi"
-	"repro/internal/parallel"
 	"repro/internal/svm"
 )
 
@@ -10,7 +9,7 @@ import (
 // gathered query block handed to the classifier, the per-job details and
 // errors, and the SVM batch scratch — so a warmed caller identifies whole
 // micro-batches with zero steady-state heap allocations. Not safe for
-// concurrent use; keep one per batch dispatcher.
+// concurrent use; keep one per goroutine that runs batches.
 type BatchScratch struct {
 	queries [][]float64
 	idx     []int
@@ -38,32 +37,25 @@ func (bs *BatchScratch) grow(n int) {
 	bs.errs = bs.errs[:n]
 }
 
-// IdentifyDetailedBatchP identifies a whole micro-batch: the DSP front-end
-// (denoise, phase, feature extraction, scaling) runs per-capture on up to
-// `workers` workers, each capture against its own pipeline, then the
-// classifier stage synchronizes and predicts every successfully-extracted
-// capture in one blocked svm.PredictBatch call. Per-job results are
-// bit-identical to calling IdentifyDetailedP(pls[i], sessions[i]) in a
-// loop: the DSP stage is per-capture either way and the batched classifier
-// is pinned bit-identical to the sequential one.
+// IdentifyDetailedBatchCachedP identifies a whole micro-batch: the DSP
+// front-end (denoise, phase, feature extraction, scaling) runs per capture,
+// each against its own pipeline and, when caches[i] is non-nil, its
+// baseline cache; then the classifier predicts every successfully
+// extracted capture in one blocked svm.PredictBatch call. Per-job results
+// are bit-identical to calling IdentifyDetailedP(pls[i], sessions[i]) in a
+// loop: the DSP stage is per-capture either way, a cache only memoises the
+// baseline's share of it, and the batched classifier is pinned
+// bit-identical to the sequential one.
 //
-// sessions[i] is processed against pls[i]; the two slices must have equal
-// length (a mismatch panics — it is a caller bug, not load-dependent). The
-// returned slices are scratch-owned, parallel to sessions (dets[i] is only
-// meaningful when errs[i] is nil), and valid until the next call with the
-// same scratch.
-func (id *Identifier) IdentifyDetailedBatchP(bs *BatchScratch, pls []*Pipeline, sessions []*csi.Session, workers int) ([]Detail, []error) {
-	return id.IdentifyDetailedBatchCachedP(bs, pls, sessions, nil, workers)
-}
-
-// IdentifyDetailedBatchCachedP is IdentifyDetailedBatchP with optional
-// per-session BaselineCaches: caches may be nil (all uncached) or parallel
-// to sessions with nil entries for sessions without one. caches[i] is only
-// touched by job i, so per-stream caches are safe under the fan-out.
-// Bit-identical to the uncached batch.
-func (id *Identifier) IdentifyDetailedBatchCachedP(bs *BatchScratch, pls []*Pipeline, sessions []*csi.Session, caches []*BaselineCache, workers int) ([]Detail, []error) {
+// sessions[i] is processed against pls[i]; caches may be nil (all
+// uncached) or parallel to sessions with nil entries for sessions without
+// one. A length mismatch panics — it is a caller bug, not load-dependent.
+// The returned slices are scratch-owned, parallel to sessions (dets[i] is
+// only meaningful when errs[i] is nil), and valid until the next call with
+// the same scratch.
+func (id *Identifier) IdentifyDetailedBatchCachedP(bs *BatchScratch, pls []*Pipeline, sessions []*csi.Session, caches []*BaselineCache) ([]Detail, []error) {
 	if len(pls) != len(sessions) {
-		panic("core: IdentifyDetailedBatchP needs one pipeline per session")
+		panic("core: IdentifyDetailedBatchCachedP needs one pipeline per session")
 	}
 	if caches != nil && len(caches) != len(sessions) {
 		panic("core: IdentifyDetailedBatchCachedP needs one cache slot per session")
@@ -73,22 +65,12 @@ func (id *Identifier) IdentifyDetailedBatchCachedP(bs *BatchScratch, pls []*Pipe
 	if n == 0 {
 		return bs.dets, bs.errs
 	}
-	// Stage 1: per-capture DSP fan-out. Every job writes only its own
-	// slots; errors are per-job results, not batch failures. The serial
-	// path loops directly — the fan-out closure would be the batch's only
-	// steady-state allocation — and multi-worker runs amortise it per
-	// batch, not per request.
-	if parallel.DefaultWorkers(workers) == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			id.batchExtract(bs, pls, sessions, caches, i)
-		}
-	} else {
-		_ = parallel.ForEach(n, workers, func(i int) error {
-			id.batchExtract(bs, pls, sessions, caches, i)
-			return nil
-		})
+	// Stage 1: per-capture DSP. Every job writes only its own slots;
+	// errors are per-job results, not batch failures.
+	for i := 0; i < n; i++ {
+		id.batchExtract(bs, pls, sessions, caches, i)
 	}
-	// Stage 2: synchronize and classify the survivors in one blocked call.
+	// Stage 2: classify the survivors in one blocked call.
 	// Each pipeline's scaled vector is private to its job, so gathering
 	// them into the query block is alias-safe.
 	w := 0

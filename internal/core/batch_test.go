@@ -8,8 +8,8 @@ import (
 	"repro/internal/raceflag"
 )
 
-// TestIdentifyDetailedBatchPBitIdentical pins the batched serving contract:
-// IdentifyDetailedBatchP over any batch size and worker count returns
+// TestIdentifyDetailedBatchPBitIdentical pins the batched contract without
+// baseline caches: IdentifyDetailedBatchCachedP over any batch size returns
 // exactly what per-session IdentifyDetailedP calls would, including when
 // some jobs in the batch fail.
 func TestIdentifyDetailedBatchPBitIdentical(t *testing.T) {
@@ -23,21 +23,19 @@ func TestIdentifyDetailedBatchPBitIdentical(t *testing.T) {
 		want[i] = det
 	}
 	var bs core.BatchScratch
-	for _, workers := range []int{1, 2, 4} {
-		for size := 1; size <= len(sessions); size++ {
-			batch := sessions[:size]
-			pls := make([]*core.Pipeline, size)
-			for i := range pls {
-				pls[i] = core.NewPipeline()
+	for size := 1; size <= len(sessions); size++ {
+		batch := sessions[:size]
+		pls := make([]*core.Pipeline, size)
+		for i := range pls {
+			pls[i] = core.NewPipeline()
+		}
+		dets, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, batch, nil)
+		for i := range batch {
+			if errs[i] != nil {
+				t.Fatalf("size=%d job %d: %v", size, i, errs[i])
 			}
-			dets, errs := id.IdentifyDetailedBatchP(&bs, pls, batch, workers)
-			for i := range batch {
-				if errs[i] != nil {
-					t.Fatalf("workers=%d size=%d job %d: %v", workers, size, i, errs[i])
-				}
-				if dets[i] != want[i] {
-					t.Fatalf("workers=%d size=%d job %d: batch %+v, sequential %+v", workers, size, i, dets[i], want[i])
-				}
+			if dets[i] != want[i] {
+				t.Fatalf("size=%d job %d: batch %+v, sequential %+v", size, i, dets[i], want[i])
 			}
 		}
 	}
@@ -45,7 +43,7 @@ func TestIdentifyDetailedBatchPBitIdentical(t *testing.T) {
 	// session, slots 0 and 2 must classify exactly as before.
 	mixed := []*csi.Session{sessions[0], {}, sessions[1]}
 	pls := []*core.Pipeline{core.NewPipeline(), core.NewPipeline(), core.NewPipeline()}
-	dets, errs := id.IdentifyDetailedBatchP(&bs, pls, mixed, 2)
+	dets, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, mixed, nil)
 	if errs[1] == nil {
 		t.Fatal("invalid session in batch produced no error")
 	}
@@ -58,10 +56,8 @@ func TestIdentifyDetailedBatchPBitIdentical(t *testing.T) {
 }
 
 // TestIdentifyBatchPZeroAllocSteadyState extends the zero-allocation guard
-// to the batch path: a warmed batch scratch plus warmed pipelines identify
-// a full micro-batch without heap allocation (workers=1, the serial
-// fast-path — the worker fan-out itself allocates goroutine plumbing, which
-// the serve tier amortises per batch, not per request).
+// to the batch path without baseline caches: a warmed batch scratch plus
+// warmed pipelines identify a full micro-batch without heap allocation.
 func TestIdentifyBatchPZeroAllocSteadyState(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
@@ -73,7 +69,7 @@ func TestIdentifyBatchPZeroAllocSteadyState(t *testing.T) {
 		pls[i] = core.NewPipeline()
 	}
 	for i := 0; i < 3; i++ { // warm every growable buffer
-		_, errs := id.IdentifyDetailedBatchP(&bs, pls, sessions, 1)
+		_, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, sessions, nil)
 		for _, err := range errs {
 			if err != nil {
 				t.Fatal(err)
@@ -81,12 +77,12 @@ func TestIdentifyBatchPZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		_, errs := id.IdentifyDetailedBatchP(&bs, pls, sessions, 1)
+		_, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, sessions, nil)
 		if errs[0] != nil {
 			t.Fatal(errs[0])
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("warmed IdentifyDetailedBatchP allocates %.2f times per run, want 0", avg)
+		t.Fatalf("warmed IdentifyDetailedBatchCachedP allocates %.2f times per run, want 0", avg)
 	}
 }

@@ -56,17 +56,15 @@ func TestBaselineCacheBitIdentical(t *testing.T) {
 		pls[i] = core.NewPipeline()
 	}
 	var bs core.BatchScratch
-	for _, workers := range []int{1, 2} {
-		for rep := 0; rep < 2; rep++ {
-			dets, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, sessions, caches, workers)
-			for i := range sessions {
-				if errs[i] != nil {
-					t.Fatalf("workers=%d rep=%d job %d: %v", workers, rep, i, errs[i])
-				}
-				if dets[i] != want[i] {
-					t.Fatalf("workers=%d rep=%d job %d: cached batch %+v != uncached %+v",
-						workers, rep, i, dets[i], want[i])
-				}
+	for rep := 0; rep < 2; rep++ {
+		dets, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, sessions, caches)
+		for i := range sessions {
+			if errs[i] != nil {
+				t.Fatalf("rep=%d job %d: %v", rep, i, errs[i])
+			}
+			if dets[i] != want[i] {
+				t.Fatalf("rep=%d job %d: cached batch %+v != uncached %+v",
+					rep, i, dets[i], want[i])
 			}
 		}
 	}
@@ -89,7 +87,7 @@ func TestIdentifyBatchCachedPZeroAllocSteadyState(t *testing.T) {
 		caches[i] = &core.BaselineCache{}
 	}
 	for i := 0; i < 3; i++ { // warm pipelines, scratch, and every cache
-		_, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, sessions, caches, 1)
+		_, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, sessions, caches)
 		for _, err := range errs {
 			if err != nil {
 				t.Fatal(err)
@@ -97,7 +95,7 @@ func TestIdentifyBatchCachedPZeroAllocSteadyState(t *testing.T) {
 		}
 	}
 	avg := testing.AllocsPerRun(50, func() {
-		_, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, sessions, caches, 1)
+		_, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, sessions, caches)
 		if errs[0] != nil {
 			t.Fatal(errs[0])
 		}

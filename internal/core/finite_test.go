@@ -59,13 +59,13 @@ func identifyEveryPath(t *testing.T, id *core.Identifier, clean, s *csi.Session,
 
 	var bs core.BatchScratch
 	pls := []*core.Pipeline{core.NewPipeline(), core.NewPipeline(), core.NewPipeline()}
-	dets, errs := id.IdentifyDetailedBatchP(&bs, pls, []*csi.Session{clean, s, clean}, 1)
+	dets, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, []*csi.Session{clean, s, clean}, nil)
 	for _, i := range []int{0, 2} {
 		if errs[i] != nil {
 			t.Fatalf("clean batch neighbour %d failed: %v", i, errs[i])
 		}
 	}
-	add("IdentifyDetailedBatchP", dets[1], errs[1])
+	add("IdentifyDetailedBatchCachedP uncached", dets[1], errs[1])
 
 	bc := &core.BaselineCache{}
 	if _, err := id.IdentifyDetailedCachedP(core.NewPipeline(), clean, bc); err != nil {
@@ -73,7 +73,7 @@ func identifyEveryPath(t *testing.T, id *core.Identifier, clean, s *csi.Session,
 	}
 	det, err = id.IdentifyDetailedCachedP(core.NewPipeline(), s, bc)
 	add("IdentifyDetailedCachedP", det, err)
-	dets, errs = id.IdentifyDetailedBatchCachedP(&bs, pls[:1], []*csi.Session{s}, []*core.BaselineCache{bc}, 1)
+	dets, errs = id.IdentifyDetailedBatchCachedP(&bs, pls[:1], []*csi.Session{s}, []*core.BaselineCache{bc})
 	add("IdentifyDetailedBatchCachedP", dets[0], errs[0])
 
 	feats, err := wimi.ExtractFeatures(s, cfg)
@@ -199,7 +199,7 @@ func FuzzIdentifyPipeline(f *testing.F) {
 		}
 		seq, seqErr := id.IdentifyDetailedP(core.NewPipeline(), &s)
 		var bs core.BatchScratch
-		dets, errs := id.IdentifyDetailedBatchP(&bs, []*core.Pipeline{core.NewPipeline(), core.NewPipeline()}, []*csi.Session{base, &s}, 1)
+		dets, errs := id.IdentifyDetailedBatchCachedP(&bs, []*core.Pipeline{core.NewPipeline(), core.NewPipeline()}, []*csi.Session{base, &s}, nil)
 		if errs[0] != nil {
 			t.Fatalf("clean batch neighbour failed: %v", errs[0])
 		}

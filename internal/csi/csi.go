@@ -461,8 +461,21 @@ type Session struct {
 	block *packetBlock
 }
 
+// CheckCarrier reports why hz cannot be a carrier frequency, or nil when it
+// is finite and positive. NaN and +Inf fail like zero and negatives do:
+// every wavelength derived from them would be meaningless.
+func CheckCarrier(hz float64) error {
+	switch {
+	case hz <= 0:
+		return fmt.Errorf("non-positive carrier %v", hz)
+	case !(hz <= math.MaxFloat64):
+		return fmt.Errorf("non-finite carrier %v", hz)
+	}
+	return nil
+}
+
 // Validate checks the session is usable: non-empty captures with matching
-// antenna counts.
+// antenna counts and a finite, positive carrier.
 func (s *Session) Validate() error {
 	if s.Baseline.Len() == 0 {
 		return fmt.Errorf("csi: session has no baseline packets")
@@ -476,7 +489,7 @@ func (s *Session) Validate() error {
 	if s.Baseline.NumAntennas() < 2 {
 		return fmt.Errorf("csi: need at least 2 antennas for phase difference, got %d", s.Baseline.NumAntennas())
 	}
-	if s.Carrier <= 0 {
+	if CheckCarrier(s.Carrier) != nil {
 		return fmt.Errorf("csi: invalid carrier frequency %v", s.Carrier)
 	}
 	return nil

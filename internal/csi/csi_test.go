@@ -238,6 +238,27 @@ func TestSessionValidate(t *testing.T) {
 	}
 }
 
+// TestSessionValidateCarrier pins that a session needs a finite, positive
+// carrier: NaN and +Inf fail like zero and negatives, with the same text.
+func TestSessionValidateCarrier(t *testing.T) {
+	for _, tc := range []struct {
+		carrier float64
+		err     string
+	}{
+		{5.32e9, ""},
+		{0, "csi: invalid carrier frequency 0"},
+		{-1, "csi: invalid carrier frequency -1"},
+		{math.NaN(), "csi: invalid carrier frequency NaN"},
+		{math.Inf(1), "csi: invalid carrier frequency +Inf"},
+		{math.Inf(-1), "csi: invalid carrier frequency -Inf"},
+	} {
+		s := &Session{Carrier: tc.carrier, Baseline: makeCapture(t, 3, 0, 0), Target: makeCapture(t, 3, 1, 1)}
+		if err := s.Validate(); (err == nil) != (tc.err == "") || (err != nil && err.Error() != tc.err) {
+			t.Errorf("carrier %v: Validate() = %v, want %q", tc.carrier, err, tc.err)
+		}
+	}
+}
+
 func TestSessionValidateSingleAntenna(t *testing.T) {
 	one := func(n int) Capture {
 		var cap Capture

@@ -54,6 +54,7 @@ func (fl *faultyListener) Accept() (net.Conn, error) {
 type clusterFixture struct {
 	registry *registry.Registry
 	version  string
+	sessions []*csi.Session // the sessions bodies encodes, also the training set
 	bodies   [][]byte
 	labels   []string
 }
@@ -96,7 +97,7 @@ func newClusterFixture(t testing.TB) *clusterFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := &clusterFixture{registry: reg, version: reg.Active().Version, labels: labels}
+	fx := &clusterFixture{registry: reg, version: reg.Active().Version, sessions: sessions, labels: labels}
 	for _, s := range sessions {
 		fx.bodies = append(fx.bodies, encodeIdentify(t, s))
 	}
@@ -147,7 +148,6 @@ func (cb *chaosBackend) start(addr string) {
 	cb.t.Helper()
 	s, err := serve.New(serve.Config{
 		Registry:       cb.reg,
-		MaxBatch:       4,
 		QueueDepth:     32,
 		RequestTimeout: 2 * time.Second,
 	})

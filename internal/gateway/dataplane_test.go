@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -16,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/csi"
 	"repro/internal/resilience"
 	"repro/internal/serve"
 	"repro/internal/testutil"
@@ -28,7 +31,6 @@ func startServeBackend(t *testing.T, fx *clusterFixture, gate *flushGate) *httpt
 	t.Helper()
 	s, err := serve.New(serve.Config{
 		Registry:       fx.registry,
-		MaxBatch:       8,
 		QueueDepth:     64,
 		RequestTimeout: 5 * time.Second,
 	})
@@ -175,14 +177,25 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 	}
 
 	// Malformed bodies ride the held cell: serve answers each its own 400,
-	// which must reach the client as the unbatched path relays it.
+	// and a capture with +Inf at a subcarrier the model uses its 422, which
+	// must reach the client as the unbatched path relays it.
+	good, err := core.CalibrateSubcarriers(fx.sessions, core.AntennaPair{A: 0, B: 1}, core.DefaultConfig().GoodSubcarriers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := *fx.sessions[0]
+	inf.Target.Packets = append([]csi.Packet(nil), inf.Target.Packets...)
+	inf.Target.Packets[3].CSI = inf.Target.Packets[3].CSI.Clone()
+	inf.Target.Packets[3].CSI.Values[0][good[0]] = complex(math.Inf(1), 0)
 	valid := len(fx.bodies)
 	bodies := append(slices.Clip(fx.bodies),
 		[]byte(`{},{}`),                              // two values, which must stay one slot
 		fx.bodies[0][:len(fx.bodies[0])/2],           // a truncated object
-		append(slices.Clip(fx.bodies[1]), "junk"...)) // a valid body plus trailing bytes
+		append(slices.Clip(fx.bodies[1]), "junk"...), // a valid body plus trailing bytes
+		encodeIdentify(t, &inf))                      // identification fails: 422
+	unprocessable := len(bodies) - 1
 
-	_, refTS := newGW(1, urls...)
+	refGW, refTS := newGW(1, urls...)
 	refs := make([]reply, len(bodies))
 	for i, body := range bodies {
 		resp, err := http.Post(refTS.URL+"/v1/identify", "application/json", bytes.NewReader(body))
@@ -195,13 +208,19 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := http.StatusOK
-		if i >= valid {
+		switch {
+		case i == unprocessable:
+			want = http.StatusUnprocessableEntity
+		case i >= valid:
 			want = http.StatusBadRequest
 		}
 		if resp.StatusCode != want {
 			t.Fatalf("reference request %d: status %d, want %d, body %s", i, resp.StatusCode, want, b)
 		}
 		refs[i] = reply{status: resp.StatusCode, model: resp.Header.Get(serve.ModelVersionHeader), body: b}
+	}
+	if st := refGW.Stats(); st.Retried != 0 {
+		t.Fatalf("the unbatched path retried %d answers; a 4xx is final", st.Retried)
 	}
 	same := func(t *testing.T, n int, got reply) {
 		t.Helper()
@@ -289,8 +308,12 @@ func TestBatchedRelayBitIdentical(t *testing.T) {
 		for i, got := range gate.burst(t, ts, ready, reqs...) {
 			same(t, idx[i], got)
 		}
-		if st := g.Stats(); st.BatchSizes[leaders-1] == 0 {
+		st := g.Stats()
+		if st.BatchSizes[leaders-1] == 0 {
 			t.Errorf("the %d queued leaders did not flush as one batch: %v", leaders, st.BatchSizes)
+		}
+		if st.Retried != 0 {
+			t.Errorf("the held cell retried %d answers; a 4xx is final", st.Retried)
 		}
 	})
 }

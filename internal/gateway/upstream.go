@@ -64,9 +64,10 @@ type upstreamResult struct {
 	err error
 }
 
-// upstreamInflight bounds the flushes in flight per backend. Serve decodes
-// requests on every core while its dispatcher runs a batch, so a backend
-// keeps more than one flush busy: on a 2-vCPU host (three backends, eight
+// upstreamInflight bounds the flushes in flight per backend. Serve runs a
+// pipeline per request on every core, so a backend keeps more than one
+// flush busy. The bound was measured while serve still ran every pipeline
+// on one dispatcher goroutine: on a 2-vCPU host (three backends, eight
 // closed-loop clients, distinct bodies) a bound of 2 raised p90 and p99 by
 // about 10% against unbounded flushing, while 3, 4 and 8 did not. A slow
 // backend stalls only its own flushes; its queue keeps collecting the

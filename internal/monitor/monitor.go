@@ -384,8 +384,8 @@ func NewSegmenter(cfg Config, carrier float64, settle, targetLen, baselineLen in
 // NewSegmenterOpts builds a segmenter from explicit options, including the
 // sliding-window stride NewSegmenter's fixed signature predates.
 func NewSegmenterOpts(cfg Config, carrier float64, opts SegmenterOptions) (*Segmenter, error) {
-	if carrier <= 0 {
-		return nil, fmt.Errorf("monitor: non-positive carrier %v", carrier)
+	if err := csi.CheckCarrier(carrier); err != nil {
+		return nil, fmt.Errorf("monitor: %w", err)
 	}
 	if opts.Settle < 0 || opts.TargetLen < 1 || opts.BaselineLen < 1 || opts.Stride < 0 {
 		return nil, fmt.Errorf("monitor: invalid segmenter lengths settle=%d target=%d baseline=%d stride=%d",

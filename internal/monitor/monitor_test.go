@@ -1,6 +1,7 @@
 package monitor_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/csi"
@@ -218,6 +219,28 @@ func TestSegmenterProducesIdentifiableSession(t *testing.T) {
 	}
 	if got != wimi.Honey {
 		t.Errorf("segmented session identified as %q, want honey", got)
+	}
+}
+
+// TestSegmenterCarrier pins that a segmenter needs a finite, positive
+// carrier, keeping the text of the values rejected before NaN and +Inf
+// were.
+func TestSegmenterCarrier(t *testing.T) {
+	for _, tc := range []struct {
+		carrier float64
+		err     string
+	}{
+		{5.32e9, ""},
+		{0, "monitor: non-positive carrier 0"},
+		{-1, "monitor: non-positive carrier -1"},
+		{math.NaN(), "monitor: non-finite carrier NaN"},
+		{math.Inf(1), "monitor: non-finite carrier +Inf"},
+		{math.Inf(-1), "monitor: non-positive carrier -Inf"},
+	} {
+		_, err := monitor.NewSegmenterOpts(monitor.Config{}, tc.carrier, monitor.SegmenterOptions{Settle: 5, TargetLen: 20, BaselineLen: 20})
+		if (err == nil) != (tc.err == "") || (err != nil && err.Error() != tc.err) {
+			t.Errorf("carrier %v: NewSegmenterOpts error %v, want %q", tc.carrier, err, tc.err)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ type Config struct {
 	// Workers is the identification worker count (default GOMAXPROCS).
 	Workers int
 	// BatchMax bounds how many distinct dirty streams one worker drains
-	// into a single batched classification (core.IdentifyDetailedBatchP:
+	// into a single batched classification (core.IdentifyDetailedBatchCachedP:
 	// per-capture DSP + one blocked SVM predict). A free worker never
 	// waits for company: it classifies whatever is dirty, so batches form
 	// only from streams that went dirty while every worker was busy.
@@ -494,9 +494,8 @@ func (h *Hub) worker() {
 		for len(pls) < len(live) {
 			pls = append(pls, core.GetPipeline())
 		}
-		// Inner workers=1: hub workers are the parallelism, one batch per
-		// worker; fanning out inside the batch would just contend.
-		dets, errs := h.cfg.Identifier.IdentifyDetailedBatchCachedP(&bs, pls[:len(live)], sessions, caches, 1)
+		// Hub workers are the parallelism: each runs its batch serially.
+		dets, errs := h.cfg.Identifier.IdentifyDetailedBatchCachedP(&bs, pls[:len(live)], sessions, caches)
 		for i, st := range live {
 			st.finish(dets[i], errs[i], sessions[i])
 		}

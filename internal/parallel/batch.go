@@ -33,9 +33,8 @@ type Batcher[T any] struct {
 	maxBatch int
 	run      func(batch []T)
 
-	// mu guards closed. Submit holds it shared; SubmitAll holds it
-	// exclusively, and a dispatcher drains under it shared, so the items
-	// of one SubmitAll are all queued before any dispatcher drains.
+	// mu guards closed: Submit holds it shared while it sends, so Close
+	// never closes the queue under a send.
 	mu     sync.RWMutex
 	closed bool
 	wg     sync.WaitGroup
@@ -87,28 +86,6 @@ func (b *Batcher[T]) Submit(item T) error {
 	}
 }
 
-// SubmitAll admits a prefix of items without blocking, all under one
-// exclusive lock, so the dispatcher that takes the first of them drains
-// the rest with it: with inflight 1, up to maxBatch of them run as one
-// batch. Admission stops where the queue is full; SubmitAll returns how
-// many items it admitted and ErrSaturated when that is fewer than
-// len(items), or 0 and ErrClosed after Close.
-func (b *Batcher[T]) SubmitAll(items []T) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return 0, ErrClosed
-	}
-	for i, item := range items {
-		select {
-		case b.queue <- item:
-		default:
-			return i, ErrSaturated
-		}
-	}
-	return len(items), nil
-}
-
 // QueueLen reports how many submitted items await a dispatcher — a
 // readiness / backpressure signal, inherently racy and advisory. An item
 // sent while a dispatcher waits on the queue goes straight to it and is
@@ -138,7 +115,6 @@ func (b *Batcher[T]) dispatch() {
 			return
 		}
 		batch = append(batch, first)
-		b.mu.RLock() // waits out a SubmitAll still admitting
 	drain:
 		for len(batch) < b.maxBatch {
 			select {
@@ -151,7 +127,6 @@ func (b *Batcher[T]) dispatch() {
 				break drain
 			}
 		}
-		b.mu.RUnlock()
 		b.run(batch)
 		clear(batch) // the scratch must not pin delivered items
 		batch = batch[:0]

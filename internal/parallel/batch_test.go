@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"runtime"
 	"slices"
 	"sync"
@@ -143,9 +142,13 @@ func TestBatcherCloseDrains(t *testing.T) {
 	}
 	closed := make(chan struct{})
 	go func() { b.Close(); close(closed) }()
-	// An empty SubmitAll probes admission without enqueueing anything.
-	for _, err := b.SubmitAll(nil); err != ErrClosed; _, err = b.SubmitAll(nil) {
+	// Read the closed flag under the admission lock: a probing Submit
+	// would enqueue an item.
+	for closing := false; !closing; {
 		runtime.Gosched()
+		b.mu.RLock()
+		closing = b.closed
+		b.mu.RUnlock()
 	}
 	select {
 	case <-closed:
@@ -160,85 +163,6 @@ func TestBatcherCloseDrains(t *testing.T) {
 	}
 	if delivered.Load() != 100 {
 		t.Errorf("drained %d items, want 100", delivered.Load())
-	}
-}
-
-// TestBatcherSubmitAllOneBatch pins multi-item admission: items admitted
-// together run as one batch when they fit in maxBatch and as full batches
-// when they do not, and behind a busy dispatcher only the prefix the queue
-// has room for is admitted.
-func TestBatcherSubmitAllOneBatch(t *testing.T) {
-	const maxBatch = 8
-	out := make(chan []int, 2)
-	b, err := NewBatcher[int](16, maxBatch, 1, func(batch []int) {
-		out <- slices.Clone(batch)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := func(k int) []int {
-		s := make([]int, k)
-		for i := range s {
-			s[i] = i
-		}
-		return s
-	}
-	for _, tc := range []struct {
-		k     int
-		sizes []int
-	}{
-		{k: 2, sizes: []int{2}},
-		{k: maxBatch, sizes: []int{maxBatch}},
-		{k: maxBatch + 3, sizes: []int{maxBatch, 3}},
-	} {
-		n, err := b.SubmitAll(items(tc.k))
-		if n != tc.k || err != nil {
-			t.Fatalf("SubmitAll(%d) = %d, %v", tc.k, n, err)
-		}
-		var got []int
-		for _, want := range tc.sizes {
-			batch := <-out
-			if len(batch) != want {
-				t.Fatalf("%d items: batch of %d, want batches %v", tc.k, len(batch), tc.sizes)
-			}
-			got = append(got, batch...)
-		}
-		if !slices.Equal(got, items(tc.k)) {
-			t.Fatalf("%d items: delivered %v", tc.k, got)
-		}
-	}
-	b.Close()
-	if n, err := b.SubmitAll(items(2)); n != 0 || !errors.Is(err, ErrClosed) {
-		t.Errorf("SubmitAll after Close = %d, %v; want 0, ErrClosed", n, err)
-	}
-
-	// Behind a busy dispatcher, 20 items into a queue of 16: the first 16
-	// are admitted, the rest shed.
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	var delivered atomic.Int64
-	held, err := NewBatcher[int](16, maxBatch, 1, func(batch []int) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-release
-		delivered.Add(int64(len(batch)))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := held.Submit(-1); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	if n, err := held.SubmitAll(items(20)); n != 16 || !errors.Is(err, ErrSaturated) {
-		t.Fatalf("SubmitAll(20) into depth 16 = %d, %v; want 16, ErrSaturated", n, err)
-	}
-	close(release)
-	held.Close()
-	if got := delivered.Load(); got != 17 {
-		t.Errorf("delivered %d items, want the held one and the admitted 16", got)
 	}
 }
 

@@ -11,14 +11,14 @@ import (
 
 // maxIdentifyAllocs bounds the steady-state allocation count of one whole
 // in-process /v1/identify round trip: request/recorder construction, the
-// request decode, job submission and the response write. A warmed run of
-// the canonical 20-packet body measures 37. The DSP pipeline, the base64
-// decode (into a pooled buffer) and the trace records contribute zero;
-// the decode's 6 are the two trace readers it opens, each with its
+// request decode, the deadline context and the response write. A warmed
+// run of the canonical 20-packet body measures 34. The DSP pipeline, the
+// base64 decode (into a pooled buffer) and the trace records contribute
+// zero; the decode's 6 are the two trace readers it opens, each with its
 // payload buffer and matrix-source binding. The bound leaves headroom for
 // runtime jitter while still catching a per-record allocation sneaking
 // back into the hot path (a 20-packet session has 40 records).
-const maxIdentifyAllocs = 64
+const maxIdentifyAllocs = 48
 
 // TestHandleIdentifyAllocSteadyState guards the serve fast path: once pools
 // are warm, a request must not pay per-packet or per-subcarrier

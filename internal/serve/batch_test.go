@@ -1,103 +1,22 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/material"
-	"repro/internal/registry"
 )
 
-// TestRunBatchMatchesSingle drives the executor's batch path directly
-// with crafted batches and pins it against per-session IdentifyDetailedP:
-// every answer must match exactly, expired jobs must be answered with
-// their context error without poisoning neighbours, mixed-model batches
-// must split into per-model groups, and the size histogram must record
-// each executed batch.
-func TestRunBatchMatchesSingle(t *testing.T) {
-	fx := newFixture(t, []string{material.PureWater, material.Honey, material.Oil})
-	s, err := New(Config{Registry: fx.registry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown()
-	model := fx.registry.Active()
-	want := make([]core.Detail, len(fx.sessions))
-	for i, sess := range fx.sessions {
-		det, err := model.Identifier.IdentifyDetailedP(core.NewPipeline(), sess)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = det
-	}
-	newJob := func(i int) *job {
-		return &job{ctx: context.Background(), session: fx.sessions[i], model: model, done: make(chan jobResult, 1)}
-	}
-	for size := 1; size <= 8; size++ {
-		batch := make([]*job, size)
-		for i := range batch {
-			batch[i] = newJob(i % len(fx.sessions))
-		}
-		s.runBatch(batch)
-		for i, j := range batch {
-			res := <-j.done
-			if res.err != nil {
-				t.Fatalf("size %d job %d: %v", size, i, res.err)
-			}
-			if res.detail != want[i%len(fx.sessions)] {
-				t.Fatalf("size %d job %d: batched %+v, single %+v", size, i, res.detail, want[i%len(fx.sessions)])
-			}
-		}
-	}
-	stats := s.Stats()
-	for size := 1; size <= 8; size++ {
-		if stats.BatchSizes[size-1] == 0 {
-			t.Fatalf("histogram did not record the size-%d batch: %v", size, stats.BatchSizes)
-		}
-	}
-
-	// An expired job is answered with its context error; its neighbours
-	// still classify exactly.
-	expiredCtx, cancel := context.WithCancel(context.Background())
-	cancel()
-	expired := &job{ctx: expiredCtx, session: fx.sessions[0], model: model, done: make(chan jobResult, 1)}
-	ok0, ok1 := newJob(0), newJob(1)
-	s.runBatch([]*job{ok0, expired, ok1})
-	if res := <-expired.done; res.err == nil {
-		t.Fatal("expired job was not answered with its context error")
-	}
-	if res := <-ok0.done; res.err != nil || res.detail != want[0] {
-		t.Fatalf("neighbour 0 of expired job: %+v, %v", res.detail, res.err)
-	}
-	if res := <-ok1.done; res.err != nil || res.detail != want[1] {
-		t.Fatalf("neighbour 1 of expired job: %+v, %v", res.detail, res.err)
-	}
-
-	// A mid-batch model swap means jobs carry different snapshots; the
-	// batch must split into per-model groups and still answer exactly.
-	alias := &registry.Model{Version: model.Version, Path: model.Path, LoadedAt: model.LoadedAt, Identifier: model.Identifier}
-	jA, jB, jC := newJob(0), newJob(1), newJob(2)
-	jB.model = alias
-	s.runBatch([]*job{jA, jB, jC})
-	for i, j := range []*job{jA, jB, jC} {
-		res := <-j.done
-		if res.err != nil || res.detail != want[i] {
-			t.Fatalf("mixed-model job %d: %+v, %v", i, res.detail, res.err)
-		}
-	}
-}
-
 // TestBatchedIdentifyMatchesSingleHTTP pins the end-to-end contract: for
-// identical captures, answers produced by coalesced batches equal the
-// answers of lone requests, field for field.
+// identical captures, answers produced by requests that waited for a
+// pipeline slot behind others equal the answers of lone requests, field
+// for field.
 func TestBatchedIdentifyMatchesSingleHTTP(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
-	s, err := New(Config{Registry: fx.registry, MaxBatch: 8})
+	s, err := New(Config{Registry: fx.registry, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +34,9 @@ func TestBatchedIdentifyMatchesSingleHTTP(t *testing.T) {
 		}
 		single[i] = out
 	}
-	// Wedge the executor on the first concurrent post so the rest pile
-	// into the admission queue and provably coalesce.
-	hold := holdExecutor(s)
+	// Hold the pipeline slots until every concurrent post is admitted, so
+	// all but two of them provably wait for a slot.
+	hold := holdSlots(s)
 	var wg sync.WaitGroup
 	results := make([]IdentifyResponse, len(bodies))
 	for i := range bodies {
@@ -132,16 +51,13 @@ func TestBatchedIdentifyMatchesSingleHTTP(t *testing.T) {
 			results[i] = out
 		}(i)
 	}
-	hold.waitQueued(t, s, len(bodies))
+	waitFor(t, hold, "every post to be admitted", func() bool { return s.adm.unfinished() == len(bodies) })
 	hold.unblock()
 	wg.Wait()
 	for i := range results {
 		if results[i] != single[i] {
-			t.Fatalf("capture %d: batched answer %+v, single answer %+v", i, results[i], single[i])
+			t.Fatalf("capture %d: concurrent answer %+v, single answer %+v", i, results[i], single[i])
 		}
-	}
-	if st := s.Stats(); coalescedBatches(st) == 0 {
-		t.Fatalf("no batch coalesced more than one request: %v", st.BatchSizes)
 	}
 }
 

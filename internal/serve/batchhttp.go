@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/csi"
 	"repro/internal/parallel"
 )
 
@@ -52,15 +53,16 @@ func slotError(status int, format string, args ...any) BatchSlot {
 // batch frame (frame.go) of raw /v1/identify bodies. A bad frame is
 // rejected whole with 400; inside a good one, every slot travels the exact
 // machinery of the single path — the shared decode, pooled scratch,
-// batcher admission (shedding per slot, not per request), per-slot
-// deadline and error isolation — so slot i's outcome matches what the i-th
-// of N sequential /v1/identify calls would have returned, a malformed slot
-// included, while the transport cost (HTTP round trip, headers,
-// connection) is paid once. The verdict cache is not consulted here: the
-// batch endpoint exists for gateways, which deduplicate upstream via
-// in-flight coalescing before the batch is ever assembled.
+// admission (shedding per slot, not per request), per-request deadline,
+// the same identify call and error isolation — so slot i's outcome matches
+// what the i-th of N sequential /v1/identify calls would have returned, a
+// malformed slot included, while the transport cost (HTTP round trip,
+// headers, connection) is paid once. Admitted slots run on up to Workers
+// goroutines. The verdict cache is not consulted here: the batch endpoint
+// exists for gateways, which deduplicate upstream via in-flight coalescing
+// before the batch is ever assembled.
 func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.adm.closed() {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
@@ -83,12 +85,14 @@ func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(ModelVersionHeader, model.Version)
 
-	// Decode every slot first, then admit them all at once.
-	n := len(bodies)
-	results := make([]BatchSlot, n)
-	jobs := make([]*job, 0, n)
-	scs := make([]*decodeScratch, 0, n) // scs[k] holds jobs[k]'s session
-	slots := make([]int, 0, n)          // slots[k] is the slot jobs[k] answers
+	// Decode every slot first, then admit the decoded ones.
+	type decoded struct {
+		slot    int
+		sc      *decodeScratch
+		session *csi.Session
+	}
+	results := make([]BatchSlot, len(bodies))
+	slots := make([]decoded, 0, len(bodies))
 	for i, body := range bodies {
 		sc := scratchPool.Get().(*decodeScratch)
 		session, err := sc.decodeSession(body)
@@ -97,73 +101,59 @@ func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 			results[i] = slotError(http.StatusBadRequest, "%v", err)
 			continue
 		}
-		jobs = append(jobs, &job{session: session, model: model, done: make(chan jobResult, 1)})
-		scs = append(scs, sc)
-		slots = append(slots, i)
+		slots = append(slots, decoded{slot: i, sc: sc, session: session})
 	}
 	rawBodyPool.Put(raw) // every slot is decoded; no session aliases the frame
+	// Slots beyond the free room each get the answer a single request
+	// would.
+	admitted, open := s.adm.admit(len(slots))
+	if admitted > 0 {
+		s.batchSizes[admitted-1].Add(1)
+	}
+	for _, d := range slots[admitted:] {
+		scratchPool.Put(d.sc)
+		status, msg, retryAfter := s.shedOrDrain(open)
+		results[d.slot] = slotError(status, "%s", msg)
+		if retryAfter > 0 {
+			results[d.slot].RetryAfterSec = retryAfterSecondsInt(retryAfter)
+		}
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	for _, j := range jobs {
-		j.ctx = ctx
-	}
-	// One admission for every decoded slot: the dispatcher drains them
-	// together, so on an idle server up to MaxBatch slots run as one batch
-	// by construction. Shedding stays per slot — those beyond the free
-	// queue depth each get the 429 a single request would.
-	admitted, err := s.batcher.SubmitAll(jobs)
-	for k := admitted; k < len(jobs); k++ {
-		i := slots[k]
-		scratchPool.Put(scs[k])
-		if errors.Is(err, parallel.ErrClosed) {
-			results[i] = slotError(http.StatusServiceUnavailable, "server is draining")
-			continue
-		}
-		s.shed.Add(1)
-		results[i] = slotError(http.StatusTooManyRequests, "admission queue full, retry later")
-		results[i].RetryAfterSec = retryAfterSecondsInt(s.retryAfterHint())
-	}
-	for k, j := range jobs[:admitted] {
-		i := slots[k]
-		select {
-		case res := <-j.done:
-			// Worker provably done with the session: the scratch recycles.
-			scratchPool.Put(scs[k])
-			switch {
-			case res.err == nil:
-				body, err := json.Marshal(IdentifyResponse{
-					Material:     res.detail.Material,
-					Omega:        res.detail.Omega,
-					Confidence:   res.detail.Confidence,
-					ModelVersion: model.Version,
-				})
-				if err != nil {
-					// The single path's answer to an unencodable verdict.
-					s.failed.Add(1)
-					results[i] = slotError(http.StatusInternalServerError, "encoding response: %v", err)
-					continue
-				}
-				s.served.Add(1)
-				results[i] = BatchSlot{Status: http.StatusOK, Body: body}
-			case errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled):
-				s.timeouts.Add(1)
-				results[i] = slotError(http.StatusGatewayTimeout, "request deadline exceeded while queued")
-			default:
-				s.failed.Add(1)
-				results[i] = slotError(http.StatusUnprocessableEntity, "identification failed: %v", res.err)
-			}
-		case <-ctx.Done():
-			// The worker may still be reading the session; the scratch is
-			// abandoned to the garbage collector, exactly like the single
-			// path's timeout exit.
-			s.timeouts.Add(1)
-			results[i] = slotError(http.StatusGatewayTimeout, "request deadline exceeded")
-		}
-	}
+	live := slots[:admitted]
+	_ = parallel.ForEach(len(live), s.cfg.Workers, func(k int) error {
+		d := live[k]
+		det, err := s.identify(ctx, model, d.session)
+		scratchPool.Put(d.sc)
+		results[d.slot] = s.slotAnswer(det, err, model.Version)
+		return nil
+	})
 	for i := range results {
 		results[i].ModelVersion = model.Version
 	}
 	writeJSONIntegrity(w, r, http.StatusOK, BatchIdentifyResponse{Results: results})
+}
+
+// slotAnswer renders one admitted slot's outcome as the single path would
+// answer it, counting it the same way.
+func (s *Server) slotAnswer(det core.Detail, err error, version string) BatchSlot {
+	if err != nil {
+		status, msg := s.failure(err)
+		return slotError(status, "%s", msg)
+	}
+	body, err := json.Marshal(IdentifyResponse{
+		Material:     det.Material,
+		Omega:        det.Omega,
+		Confidence:   det.Confidence,
+		ModelVersion: version,
+	})
+	if err != nil {
+		// The single path's answer to an unencodable verdict.
+		s.failed.Add(1)
+		return slotError(http.StatusInternalServerError, "encoding response: %v", err)
+	}
+	s.served.Add(1)
+	return BatchSlot{Status: http.StatusOK, Body: body}
 }
 
 // retryAfterSecondsInt is retryAfterSeconds for the slot field: ceiling

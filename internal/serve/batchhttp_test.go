@@ -34,7 +34,7 @@ func postBatch(t *testing.T, ts *httptest.Server, frame []byte) (*http.Response,
 // included.
 func TestBatchEndpointSlotsMatchSingleResponses(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
-	s, err := New(Config{Registry: fx.registry, MaxBatch: 4})
+	s, err := New(Config{Registry: fx.registry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,11 @@ func TestBatchEndpointSlotsMatchSingleResponses(t *testing.T) {
 }
 
 // TestBatchEndpointSlotsRunAsOneBatch pins multi-item admission: on an
-// idle server a k-slot request runs as exactly one executor batch for
-// k = 2 and k = MaxBatch (BatchSizes[k-1] rises by 1 and no other bucket
-// moves), and MaxBatch+3 slots run as two batches, one full and one of 3.
+// idle server a k-slot request is admitted whole and counted once, at
+// BatchSizes[k-1], for k = 2, 8 and 11, and no other bucket moves.
 func TestBatchEndpointSlotsRunAsOneBatch(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
-	const maxBatch = 8
-	s, err := New(Config{Registry: fx.registry, MaxBatch: maxBatch})
+	s, err := New(Config{Registry: fx.registry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,25 +107,16 @@ func TestBatchEndpointSlotsRunAsOneBatch(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, tc := range []struct {
-		slots   int
-		batches []int
-	}{
-		{slots: 2, batches: []int{2}},
-		{slots: maxBatch, batches: []int{maxBatch}},
-		{slots: maxBatch + 3, batches: []int{maxBatch, 3}},
-	} {
-		raws := make([][]byte, tc.slots)
+	for _, slots := range []int{2, 8, 11} {
+		raws := make([][]byte, slots)
 		for i := range raws {
 			raws[i] = encodeRequest(t, fx.sessions[i%len(fx.sessions)])
 		}
 		want := s.Stats().BatchSizes
-		for _, n := range tc.batches {
-			want[n-1]++
-		}
+		want[slots-1]++
 		resp, body := postBatch(t, ts, AppendBatchFrame(nil, raws))
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%d slots: status %d: %s", tc.slots, resp.StatusCode, body)
+			t.Fatalf("%d slots: status %d: %s", slots, resp.StatusCode, body)
 		}
 		var out BatchIdentifyResponse
 		if err := json.Unmarshal(body, &out); err != nil {
@@ -135,11 +124,11 @@ func TestBatchEndpointSlotsRunAsOneBatch(t *testing.T) {
 		}
 		for i, slot := range out.Results {
 			if slot.Status != http.StatusOK {
-				t.Fatalf("%d slots: slot %d status %d: %s", tc.slots, i, slot.Status, slot.Body)
+				t.Fatalf("%d slots: slot %d status %d: %s", slots, i, slot.Status, slot.Body)
 			}
 		}
 		if got := s.Stats().BatchSizes; !slices.Equal(got, want) {
-			t.Errorf("%d slots: batch sizes %v, want %v (batches %v)", tc.slots, got, want, tc.batches)
+			t.Errorf("%d slots: batch sizes %v, want %v", slots, got, want)
 		}
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/csi"
@@ -18,8 +20,10 @@ import (
 
 // BenchmarkServeIdentify measures the end-to-end serve latency: HTTP
 // round-trip, trace decode, pipeline, classification. "single" is the
-// sequential floor; "batched" drives concurrent clients so requests
-// coalesce through the micro-batching executor.
+// sequential floor; "batched" drives many concurrent clients, so requests
+// wait for pipeline slots; "two-clients-100" is two closed-loop clients
+// (run it at -cpu 2) posting 16 rotating, distinct 100-packet captures,
+// the shape of the benchmark's serve-long workload.
 func BenchmarkServeIdentify(b *testing.B) {
 	model, sessions, _ := trainModel(b, []string{material.PureWater, material.Honey, material.Oil})
 	path := filepath.Join(b.TempDir(), "model.json")
@@ -30,7 +34,7 @@ func BenchmarkServeIdentify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Config{Registry: reg, MaxBatch: 8, QueueDepth: 256})
+	s, err := New(Config{Registry: reg, QueueDepth: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,10 +78,44 @@ func BenchmarkServeIdentify(b *testing.B) {
 		})
 	})
 
+	b.Run("two-clients-100", func(b *testing.B) {
+		bodies := make([][]byte, 16)
+		for i := range bodies {
+			sc := simulate.Default()
+			sc.Packets = 100
+			sess, err := simulate.Session(sc, int64(1000+i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies[i] = encodeRequest(b, sess)
+		}
+		var next atomic.Int64
+		b.SetParallelism(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			client := ts.Client()
+			for pb.Next() {
+				body := bodies[next.Add(1)%int64(len(bodies))]
+				resp, err := client.Post(ts.URL+"/v1/identify", "application/json", bytes.NewReader(body))
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				_ = resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					b.Errorf("status %d", resp.StatusCode)
+					return
+				}
+			}
+		})
+	})
+
 	// The replay scenario: identical bodies against a verdict-cache-enabled
 	// server answer from the LRU without decoding or running the pipeline.
 	b.Run("cached", func(b *testing.B) {
-		cs, err := New(Config{Registry: reg, MaxBatch: 8, QueueDepth: 256, VerdictCache: 64})
+		cs, err := New(Config{Registry: reg, QueueDepth: 256, VerdictCache: 64})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -59,7 +59,6 @@ func TestChaosClientsNoGoroutineLeak(t *testing.T) {
 
 	s, err := New(Config{
 		Registry:       fx.registry,
-		MaxBatch:       4,
 		QueueDepth:     16,
 		RequestTimeout: 2 * time.Second,
 	})
@@ -114,7 +113,7 @@ func TestChaosClientsNoGoroutineLeak(t *testing.T) {
 	}
 
 	// Drain: force-close the HTTP server (it owns the faulted conns, some
-	// of which are mid-stall), then drain the batch executor.
+	// of which are mid-stall), then drain the service.
 	_ = httpSrv.Close()
 	<-serveDone
 	s.Shutdown()
@@ -130,7 +129,7 @@ func TestChaosSheddingStillSignals429(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
 	s, err := New(Config{
 		Registry:       fx.registry,
-		MaxBatch:       1,
+		Workers:        1,
 		QueueDepth:     2,
 		RequestTimeout: 3 * time.Second,
 	})
@@ -138,7 +137,7 @@ func TestChaosSheddingStillSignals429(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	s.holdBatch = func([]*job) { <-release }
+	s.holdSlot = func() { <-release }
 
 	// Mild profile: stalls only, so status codes still arrive intact.
 	profile := faults.Profile{Name: "stalls", StallProb: 0.2, StallDuration: 2 * time.Millisecond}

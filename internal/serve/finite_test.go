@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -24,7 +25,7 @@ func TestNonFiniteCSINeverGetsAVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Registry: fx.registry, MaxBatch: 4, VerdictCache: 8})
+	s, err := New(Config{Registry: fx.registry, VerdictCache: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +74,51 @@ func TestNonFiniteCSINeverGetsAVerdict(t *testing.T) {
 		if got := after.Served - before.Served; got != 2 {
 			t.Errorf("%s: served rose by %d, want 2 (the clean slots)", name, got)
 		}
+	}
+}
+
+// TestNonFiniteCarrierAnswers400 pins the carrier half of the
+// finite-input contract: a trace pair whose headers say +Inf is a bad
+// request on /v1/identify and in a batch slot, never a verdict.
+func TestNonFiniteCarrierAnswers400(t *testing.T) {
+	fx := newFixture(t, []string{material.PureWater, material.Honey})
+	s, err := New(Config{Registry: fx.registry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	sess := fx.sessions[0]
+	infHeader := func(c *csi.Capture) []byte {
+		tr := encodeTrace(t, c, sess.Carrier)
+		binary.LittleEndian.PutUint64(tr[8:16], math.Float64bits(math.Inf(1)))
+		return tr
+	}
+	body, err := json.Marshal(IdentifyRequest{Baseline: infHeader(&sess.Baseline), Target: infHeader(&sess.Target)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := postIdentify(t, ts, body); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/v1/identify: status %d, want 400", resp.StatusCode)
+	}
+	clean := encodeRequest(t, sess)
+	resp, raw := postBatch(t, ts, AppendBatchFrame(nil, [][]byte{clean, body, clean}))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	var out BatchIdentifyResponse
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{http.StatusOK, http.StatusBadRequest, http.StatusOK} {
+		if out.Results[i].Status != want {
+			t.Errorf("batch slot %d: status %d, want %d: %s", i, out.Results[i].Status, want, out.Results[i].Body)
+		}
+	}
+	if st := s.Stats(); st.Served != 2 {
+		t.Errorf("served %d, want only the 2 clean slots", st.Served)
 	}
 }
 

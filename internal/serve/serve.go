@@ -1,22 +1,22 @@
 // Package serve implements the online identification service behind
 // cmd/wimi-serve: an HTTP/JSON front end over a registry of trained
-// models, with request micro-batching, bounded admission (load shedding),
-// per-request deadlines and graceful drain.
+// models, with bounded admission (load shedding), per-request deadlines
+// and graceful drain.
 //
 // Request flow:
 //
 //	POST /v1/identify → decode traces → snapshot active model →
-//	  Batcher.Submit (429 when saturated) → batch worker runs the
-//	  pipeline → respond {material, omega, confidence, modelVersion}
+//	  admit (429 when saturated) → wait for a pipeline slot (504 when the
+//	  deadline passes first) → run the pipeline on the handler goroutine →
+//	  respond {material, omega, confidence, modelVersion}
 //
-// Batching is opportunistic: one dispatcher runs one batch at a time, a
-// request that finds it idle runs at once, and requests that arrive while
-// a batch runs form the next one. Nothing ever waits for company, yet
-// under load batches grow by themselves and the whole batch is classified
-// in one blocked SVM predict. The batch executor also gives the service
-// its backpressure story: one bounded queue in front of a bounded worker
-// pool, and everything beyond that is shed immediately with Retry-After
-// rather than queued into memory.
+// WiMi identifies one session at a time, so a request runs its own
+// pipeline on the goroutine that decoded it; nothing waits for company
+// and no dispatcher stands between the two. A counting semaphore of
+// Workers slots keeps at most that many pipelines on the cores, and
+// admission in front of it is a non-blocking count: a request that finds
+// QueueDepth others already waiting for a slot is shed at once with
+// Retry-After rather than queued into memory.
 package serve
 
 import (
@@ -47,23 +47,21 @@ import (
 type Config struct {
 	// Registry supplies the active model.
 	Registry *registry.Registry
-	// MaxBatch bounds how many requests one batch coalesces (default 8).
-	MaxBatch int
-	// QueueDepth bounds the admission queue; requests beyond it are shed
-	// with HTTP 429 (default 64).
+	// QueueDepth bounds how many admitted requests may wait for a
+	// pipeline slot; a request beyond QueueDepth waiting plus Workers
+	// running is shed with HTTP 429 (default 64).
 	QueueDepth int
-	// Workers bounds pipeline concurrency inside a batch
-	// (default GOMAXPROCS).
+	// Workers bounds how many pipelines run at once (default GOMAXPROCS).
 	Workers int
-	// RequestTimeout is the per-request deadline covering queueing and
-	// pipeline time (default 10s).
+	// RequestTimeout is the per-request deadline covering the wait for a
+	// pipeline slot and the pipeline itself (default 10s).
 	RequestTimeout time.Duration
 	// RetryAfter is the fallback Retry-After hint for 429 responses,
-	// used until a drain rate has been observed (default 1s). Once the
-	// batch executor has completed work, the hint is computed instead:
-	// queue depth divided by the measured drain rate, so a deep queue
-	// behind a slow pipeline tells clients to stay away longer than a
-	// blip does.
+	// used until a drain rate has been observed (default 1s). Once
+	// requests have completed, the hint is computed instead: the requests
+	// waiting for a slot divided by the measured drain rate, so a deep
+	// queue behind a slow pipeline tells clients to stay away longer than
+	// a blip does.
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds the request body (default 16 MiB).
 	MaxBodyBytes int64
@@ -77,12 +75,10 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 8
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
+	c.Workers = parallel.DefaultWorkers(c.Workers)
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
@@ -123,40 +119,30 @@ type Stats struct {
 	// when the cache is disabled.
 	CacheHits   uint64 `json:"cacheHits"`
 	CacheMisses uint64 `json:"cacheMisses"`
-	// BatchSizes[i] counts executed batches that coalesced i+1 requests —
-	// the histogram a load run reads to confirm coalescing actually
-	// happened (all mass at index 0 means every request ran alone).
+	// BatchSizes[i] counts admitted requests that carried i+1 captures: a
+	// /v1/identify request counts at index 0, a batch frame at the number
+	// of its slots that were admitted.
 	BatchSizes []uint64 `json:"batchSizes"`
-}
-
-// job is one admitted request travelling through the batcher.
-type job struct {
-	ctx     context.Context
-	session *csi.Session
-	model   *registry.Model
-	done    chan jobResult // buffered: the worker never blocks on delivery
-}
-
-type jobResult struct {
-	detail core.Detail
-	err    error
 }
 
 // Server is the online identification service.
 type Server struct {
-	cfg     Config
-	batcher *parallel.Batcher[*job]
-	mux     *http.ServeMux
+	cfg Config
+	mux *http.ServeMux
 
-	draining atomic.Bool
+	// adm counts the admitted, unfinished requests; slots is the counting
+	// semaphore of Workers pipeline slots, one held (sent in) by each
+	// running pipeline.
+	adm   admission
+	slots chan struct{}
+
 	served   atomic.Uint64
 	shed     atomic.Uint64
 	timeouts atomic.Uint64
 	failed   atomic.Uint64
 
-	// completed counts jobs the batch executor has finished (any
-	// outcome); the drain meter turns it into a jobs/sec rate for the
-	// computed Retry-After hint.
+	// completed counts finished captures (any outcome); the drain meter
+	// turns it into a rate for the computed Retry-After hint.
 	completed atomic.Uint64
 	drain     drainMeter
 
@@ -164,14 +150,9 @@ type Server struct {
 	// active model.
 	modelCache atomic.Pointer[modelJSON]
 
-	// batchSizes[i] counts executed batches of size i+1 (len == MaxBatch).
+	// batchSizes[i] counts admitted requests of i+1 captures
+	// (len == MaxBatchSlots).
 	batchSizes []atomic.Uint64
-
-	// batch is the dispatcher-owned scratch of the batched classify path.
-	// parallel.Batcher runs all batches from one goroutine (in-flight
-	// bound 1), so this state needs no locking and is reused batch to
-	// batch.
-	batch batchRun
 
 	// vcache is the optional content-hash verdict cache (nil when
 	// Config.VerdictCache is 0).
@@ -179,36 +160,30 @@ type Server struct {
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 
-	// holdBatch, when set (tests only), runs before each batch executes —
-	// the hook chaos tests use to keep the pipeline busy deterministically.
-	holdBatch func(batch []*job)
+	// holdSlot, when set (tests only), runs inside a request's pipeline
+	// slot before its pipeline — the hook tests use to keep slots busy
+	// deterministically.
+	holdSlot func()
 }
 
-// batchRun is the reusable per-dispatch state of the batched classify
-// path: the live (non-expired) jobs, their sessions, one borrowed pipeline
-// per job, and the core batch scratch.
-type batchRun struct {
-	jobs     []*job
-	sessions []*csi.Session
-	pls      []*core.Pipeline
-	bs       core.BatchScratch
-}
-
-// New validates the configuration and starts the batch executor.
+// New validates the configuration and builds the service.
 func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("serve: nil registry")
 	}
+	if cfg.QueueDepth < 0 {
+		return nil, fmt.Errorf("serve: queue depth %d, need ≥ 0", cfg.QueueDepth)
+	}
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, batchSizes: make([]atomic.Uint64, cfg.MaxBatch)}
+	s := &Server{
+		cfg:        cfg,
+		slots:      make(chan struct{}, cfg.Workers),
+		batchSizes: make([]atomic.Uint64, MaxBatchSlots),
+	}
+	s.adm.limit, s.adm.drained = int64(cfg.QueueDepth+cfg.Workers), make(chan struct{})
 	if cfg.VerdictCache > 0 {
 		s.vcache = newVerdictCache(cfg.VerdictCache)
 	}
-	b, err := parallel.NewBatcher[*job](cfg.QueueDepth, cfg.MaxBatch, 1, s.runBatch)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	s.batcher = b
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/identify", s.handleIdentify)
 	mux.HandleFunc("POST /v1/identify/batch", s.handleBatchIdentify)
@@ -242,89 +217,132 @@ func (s *Server) Stats() Stats {
 
 // Shutdown begins the graceful drain: new requests are refused with 503
 // (and /readyz goes not-ready so load balancers stop sending), while
-// everything already admitted runs to completion. It returns when the
-// batch executor is fully drained.
-func (s *Server) Shutdown() {
-	if s.draining.Swap(true) {
-		return
-	}
-	s.batcher.Close()
+// everything already admitted runs to completion. It returns once no
+// admitted request is left waiting or running. Safe to call more than
+// once.
+func (s *Server) Shutdown() { s.adm.close() }
+
+// admission is the non-blocking admission count: the requests admitted
+// and not yet finished, waiting for a pipeline slot or running, bounded by
+// limit. Its word also carries the closed flag, so admitting a request and
+// seeing a drain begin are one atomic step: nothing is admitted once close
+// has started waiting.
+type admission struct {
+	limit int64
+	// n is the admitted, unfinished count, plus admissionClosed once
+	// close has begun.
+	n atomic.Int64
+	// drained is closed once admission is closed and n has reached zero.
+	drained chan struct{}
 }
 
-// runBatch executes one coalesced batch: expired jobs are answered
-// immediately, the rest are grouped by model (a hot-swap mid-batch can mix
-// model snapshots) and each group runs batch-native — per-capture DSP on
-// the bounded worker pool, then one blocked svm.PredictBatch over the whole
-// group. Every job's result lands in its buffered done channel, so an
-// abandoned (timed-out) request never blocks the batch.
-func (s *Server) runBatch(batch []*job) {
-	if s.holdBatch != nil {
-		s.holdBatch(batch)
-	}
-	if n := len(batch); n >= 1 && n <= len(s.batchSizes) {
-		s.batchSizes[n-1].Add(1)
-	}
-	st := &s.batch
-	live := st.jobs[:0]
-	for _, j := range batch {
-		if err := j.ctx.Err(); err != nil {
-			j.done <- jobResult{err: err}
-			continue
+const admissionClosed = 1 << 62
+
+// admit admits up to want requests without blocking and returns how many
+// it admitted: fewer than want when the room left is smaller, 0 and
+// open=false once closed.
+func (a *admission) admit(want int) (n int, open bool) {
+	for {
+		v := a.n.Load()
+		if v&admissionClosed != 0 {
+			return 0, false
 		}
-		live = append(live, j)
-	}
-	st.jobs = live
-	// Group runs of jobs sharing a model snapshot. Jobs carry the model
-	// pointer they were admitted under, so the scan needs no map; in steady
-	// state the whole batch is one group, and a reload mid-batch just
-	// splits it.
-	for start := 0; start < len(live); {
-		m := live[start].model
-		end := start + 1
-		for end < len(live) && live[end].model == m {
-			end++
+		k := min(int64(want), a.limit-v)
+		if k <= 0 {
+			return 0, true
 		}
-		s.runModelGroup(m, live[start:end])
-		start = end
+		if a.n.CompareAndSwap(v, v+k) {
+			return int(k), true
+		}
 	}
-	// Drop job references so abandoned requests' sessions become
-	// collectable before the next dispatch reuses the backing array.
-	for i := range st.jobs {
-		st.jobs[i] = nil
-	}
-	s.drain.observe(time.Now(), s.completed.Add(uint64(len(batch))))
 }
 
-// runModelGroup identifies one same-model slice of a batch via the batched
-// core path: each job borrows a warmed pipeline for its DSP stage and the
-// classifier predicts the whole group in one blocked call against the
-// dispatcher-owned batch scratch.
-func (s *Server) runModelGroup(m *registry.Model, jobs []*job) {
-	st := &s.batch
-	n := len(jobs)
-	if cap(st.sessions) < n {
-		st.sessions = make([]*csi.Session, n)
+// release marks one admitted request finished.
+func (a *admission) release() {
+	if a.n.Add(-1) == admissionClosed {
+		close(a.drained)
 	}
-	if cap(st.pls) < n {
-		st.pls = make([]*core.Pipeline, n)
+}
+
+// unfinished reports the admitted requests not yet finished.
+func (a *admission) unfinished() int { return int(a.n.Load() &^ admissionClosed) }
+
+// closed reports whether close has begun.
+func (a *admission) closed() bool { return a.n.Load()&admissionClosed != 0 }
+
+// close refuses every later admission and waits until each admitted
+// request has finished.
+func (a *admission) close() {
+	v := a.n.Load()
+	for v&admissionClosed == 0 && !a.n.CompareAndSwap(v, v|admissionClosed) {
+		v = a.n.Load()
 	}
-	sessions := st.sessions[:n]
-	pls := st.pls[:n]
-	for i, j := range jobs {
-		sessions[i] = j.session
-		pls[i] = core.GetPipeline()
+	if v == 0 { // this call closed it, with nothing left to finish
+		close(a.drained)
 	}
-	dets, errs := m.Identifier.IdentifyDetailedBatchP(&st.bs, pls, sessions, s.cfg.Workers)
-	for i, j := range jobs {
-		j.done <- jobResult{detail: dets[i], err: errs[i]}
-		core.PutPipeline(pls[i])
-		sessions[i] = nil
-		pls[i] = nil
+	<-a.drained
+}
+
+// The two ways a request's deadline ends it before it has a verdict.
+var (
+	errExpiredQueued  = errors.New("request deadline exceeded while queued")
+	errExpiredRunning = errors.New("request deadline exceeded")
+)
+
+// identify runs one admitted capture, then releases its admission: it
+// waits for a pipeline slot until ctx ends, identifies session against m
+// on a pooled pipeline and drops a verdict that arrives after ctx ended.
+// The single path and every batch slot come through here.
+func (s *Server) identify(ctx context.Context, m *registry.Model, session *csi.Session) (core.Detail, error) {
+	defer s.finish()
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return core.Detail{}, errExpiredQueued
 	}
+	if s.holdSlot != nil {
+		s.holdSlot()
+	}
+	pl := core.GetPipeline()
+	det, err := m.Identifier.IdentifyDetailedP(pl, session)
+	core.PutPipeline(pl)
+	<-s.slots
+	if ctx.Err() != nil {
+		return core.Detail{}, errExpiredRunning
+	}
+	return det, err
+}
+
+// finish releases one finished capture's admission and feeds the drain
+// meter.
+func (s *Server) finish() {
+	s.adm.release()
+	s.drain.observe(time.Now(), s.completed.Add(1))
+}
+
+// failure counts a failed identification and returns the status and
+// message that the single path and a batch slot both answer it with.
+func (s *Server) failure(err error) (int, string) {
+	if errors.Is(err, errExpiredQueued) || errors.Is(err, errExpiredRunning) {
+		s.timeouts.Add(1)
+		return http.StatusGatewayTimeout, err.Error()
+	}
+	s.failed.Add(1)
+	return http.StatusUnprocessableEntity, "identification failed: " + err.Error()
+}
+
+// shedOrDrain answers a request admission refused: 503 once draining,
+// otherwise 429 with the computed Retry-After hint, counted as shed.
+func (s *Server) shedOrDrain(open bool) (status int, msg string, retryAfter time.Duration) {
+	if !open {
+		return http.StatusServiceUnavailable, "server is draining", 0
+	}
+	s.shed.Add(1)
+	return http.StatusTooManyRequests, "admission queue full, retry later", s.retryAfterHint()
 }
 
 func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
+	if s.adm.closed() {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
@@ -370,70 +388,53 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		}
 		s.cacheMisses.Add(1)
 	}
+	// The handler runs the pipeline itself, so once identify returns
+	// nothing references the session and the scratch recycles on every
+	// path, timeouts included.
 	sc := scratchPool.Get().(*decodeScratch)
+	defer scratchPool.Put(sc)
 	session, err := sc.decodeSession(raw.Bytes())
 	rawBodyPool.Put(raw) // the session holds no reference into the raw body
 	if err != nil {
-		scratchPool.Put(sc)
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if n, open := s.adm.admit(1); n == 0 {
+		status, msg, retryAfter := s.shedOrDrain(open)
+		if retryAfter > 0 {
+			w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
+		}
+		httpError(w, status, "%s", msg)
+		return
+	}
+	s.batchSizes[0].Add(1)
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	j := &job{ctx: ctx, session: session, model: model, done: make(chan jobResult, 1)}
-	switch err := s.batcher.Submit(j); {
-	case errors.Is(err, parallel.ErrSaturated):
-		scratchPool.Put(sc)
-		s.shed.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.retryAfterHint()))
-		httpError(w, http.StatusTooManyRequests, "admission queue full, retry later")
-		return
-	case errors.Is(err, parallel.ErrClosed):
-		scratchPool.Put(sc)
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
+	det, err := s.identify(ctx, model, session)
+	if err != nil {
+		status, msg := s.failure(err)
+		httpError(w, status, "%s", msg)
 		return
 	}
-	select {
-	case res := <-j.done:
-		// The worker has delivered, so nothing references the session any
-		// more; the response below carries no aliases into the scratch.
-		scratchPool.Put(sc)
-		if res.err != nil {
-			if errors.Is(res.err, context.DeadlineExceeded) || errors.Is(res.err, context.Canceled) {
-				s.timeouts.Add(1)
-				httpError(w, http.StatusGatewayTimeout, "request deadline exceeded while queued")
-				return
-			}
-			s.failed.Add(1)
-			httpError(w, http.StatusUnprocessableEntity, "identification failed: %v", res.err)
-			return
-		}
-		// Encode before choosing the status, and cache only what went out
-		// as a 200: a verdict that cannot be encoded is a failure, never
-		// an empty 200 or a cached one.
-		e, ok := encodeJSON(IdentifyResponse{
-			Material:     res.detail.Material,
-			Omega:        res.detail.Omega,
-			Confidence:   res.detail.Confidence,
-			ModelVersion: model.Version,
-		})
-		if !ok {
-			s.failed.Add(1)
-			e.send(w, r, http.StatusInternalServerError)
-			return
-		}
-		s.served.Add(1)
-		if s.vcache != nil {
-			s.vcache.put(vkey, res.detail)
-		}
-		e.send(w, r, http.StatusOK)
-	case <-ctx.Done():
-		// The batch worker may still be reading the session: the scratch
-		// must NOT go back to the pool. The garbage collector reclaims it
-		// once the worker drops its reference.
-		s.timeouts.Add(1)
-		httpError(w, http.StatusGatewayTimeout, "request deadline exceeded")
+	// Encode before choosing the status, and cache only what went out as
+	// a 200: a verdict that cannot be encoded is a failure, never an empty
+	// 200 or a cached one.
+	e, ok := encodeJSON(IdentifyResponse{
+		Material:     det.Material,
+		Omega:        det.Omega,
+		Confidence:   det.Confidence,
+		ModelVersion: model.Version,
+	})
+	if !ok {
+		s.failed.Add(1)
+		e.send(w, r, http.StatusInternalServerError)
+		return
 	}
+	s.served.Add(1)
+	if s.vcache != nil {
+		s.vcache.put(vkey, det)
+	}
+	e.send(w, r, http.StatusOK)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -492,7 +493,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ready := !s.draining.Load() && s.cfg.Registry.Active() != nil
+	ready := !s.adm.closed() && s.cfg.Registry.Active() != nil
 	status := http.StatusOK
 	if !ready {
 		status = http.StatusServiceUnavailable
@@ -504,16 +505,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, map[string]any{
 		"ready":        ready,
 		"modelVersion": version,
-		"queued":       s.batcher.QueueLen(),
+		"queued":       s.queued(),
 		"stats":        s.Stats(),
 	})
 }
 
 // decodeScratch owns one request's decode memory: a matrix arena the trace
 // records fill, the packet slices of both captures and the session they are
-// assembled into. A scratch is recycled through scratchPool once the batch
-// worker is provably done with the session — never on the timeout path,
-// where the worker may still be reading it.
+// assembled into. A scratch is recycled through scratchPool once its
+// capture's identify call has returned.
 type decodeScratch struct {
 	arena    csi.MatrixArena
 	br       bytes.Reader
@@ -678,9 +678,9 @@ func retryAfterSeconds(d time.Duration) string {
 	return fmt.Sprintf("%d", retryAfterSecondsInt(d))
 }
 
-// drainMeter measures the batch executor's completion rate (jobs/sec) as
-// an EWMA over ≥50ms sampling windows, so the Retry-After hint reflects
-// actual drain speed rather than one batch's luck.
+// drainMeter measures the completion rate (captures/sec) as an EWMA over
+// ≥50ms sampling windows, so the Retry-After hint reflects actual drain
+// speed rather than one request's luck.
 type drainMeter struct {
 	mu    sync.Mutex
 	lastT time.Time
@@ -709,7 +709,7 @@ func (d *drainMeter) observe(now time.Time, completed uint64) {
 	d.lastT, d.lastC = now, completed
 }
 
-// currentRate returns the jobs/sec estimate (0 until enough samples).
+// currentRate returns the captures/sec estimate (0 until enough samples).
 func (d *drainMeter) currentRate() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -717,11 +717,15 @@ func (d *drainMeter) currentRate() float64 {
 }
 
 // retryAfterHint computes the 429 Retry-After from live load: how long
-// the current queue takes to drain at the measured rate. Before any rate
-// is known it falls back to the configured constant.
+// the requests waiting for a slot take to drain at the measured rate.
+// Before any rate is known it falls back to the configured constant.
 func (s *Server) retryAfterHint() time.Duration {
-	return computeRetryAfter(s.batcher.QueueLen(), s.drain.currentRate(), s.cfg.RetryAfter)
+	return computeRetryAfter(s.queued(), s.drain.currentRate(), s.cfg.RetryAfter)
 }
+
+// queued reports how many admitted requests wait for a pipeline slot — a
+// readiness / backpressure signal, inherently racy and advisory.
+func (s *Server) queued() int { return max(0, s.adm.unfinished()-len(s.slots)) }
 
 // computeRetryAfter is the pure hint calculation: queued work divided by
 // drain rate, clamped to [1s, 60s]; a zero/unknown rate yields the

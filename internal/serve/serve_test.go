@@ -11,13 +11,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/csi"
 	"repro/internal/material"
-	"repro/internal/parallel"
 	"repro/internal/registry"
 	"repro/internal/simulate"
 	"repro/internal/trace"
@@ -162,111 +162,44 @@ func TestIdentifyEndToEnd(t *testing.T) {
 	}
 }
 
-// executorHold wedges the batch executor on the first batch it runs, so
-// requests that arrive meanwhile queue behind it and provably form the
-// next batches: coalescing by construction.
-type executorHold struct {
-	held    chan int // receives the held batch's size
+// slotHold parks every request that reaches a pipeline slot until
+// released, and records how many requests ever held a slot at once.
+type slotHold struct {
 	release chan struct{}
 	once    sync.Once
+	entered atomic.Int64 // requests that reached a slot
+	running atomic.Int64 // requests holding a slot right now
+	peak    atomic.Int64 // the most that ever held one at once
 }
 
-func holdExecutor(s *Server) *executorHold {
-	h := &executorHold{held: make(chan int, 1), release: make(chan struct{})}
-	var first sync.Once
-	s.holdBatch = func(batch []*job) {
-		first.Do(func() {
-			h.held <- len(batch)
-			<-h.release
-		})
+func holdSlots(s *Server) *slotHold {
+	h := &slotHold{release: make(chan struct{})}
+	s.holdSlot = func() {
+		h.entered.Add(1)
+		n := h.running.Add(1)
+		for p := h.peak.Load(); n > p && !h.peak.CompareAndSwap(p, n); p = h.peak.Load() {
+		}
+		<-h.release
+		h.running.Add(-1)
 	}
 	return h
 }
 
-// unblock releases the held executor; safe to call more than once.
-func (h *executorHold) unblock() { h.once.Do(func() { close(h.release) }) }
+// unblock releases every held and later request; safe to call more than
+// once.
+func (h *slotHold) unblock() { h.once.Do(func() { close(h.release) }) }
 
-// waitQueued waits until all n requests are admitted: in the held batch
-// or queued behind it. On failure it unblocks the executor so the test's
-// deferred Shutdown can drain.
-func (h *executorHold) waitQueued(t *testing.T, s *Server, n int) {
+// waitFor polls cond until it holds, failing the test after 10s. Before
+// failing it unblocks h, so the test's deferred Shutdown can drain.
+func waitFor(t *testing.T, h *slotHold, what string, cond func() bool) {
 	t.Helper()
-	ok := false
-	defer func() {
-		if !ok {
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
 			h.unblock()
+			t.Fatalf("timed out waiting for %s", what)
 		}
-	}()
-	deadline := time.After(10 * time.Second)
-	var held int
-	select {
-	case held = <-h.held:
-	case <-deadline:
-		t.Fatal("no batch reached the executor")
-	}
-	for held+s.batcher.QueueLen() < n {
-		select {
-		case <-deadline:
-			t.Fatalf("only %d of %d requests admitted", held+s.batcher.QueueLen(), n)
-		case <-time.After(time.Millisecond):
-		}
-	}
-	ok = true
-}
-
-// coalescedBatches counts executed batches that carried more than one
-// request.
-func coalescedBatches(st Stats) uint64 {
-	var n uint64
-	for _, c := range st.BatchSizes[1:] {
-		n += c
-	}
-	return n
-}
-
-func TestIdentifyConcurrentBatches(t *testing.T) {
-	fx := newFixture(t, []string{material.PureWater, material.Honey})
-	s, err := New(Config{Registry: fx.registry, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body := encodeRequest(t, fx.sessions[0])
-	hold := holdExecutor(s)
-	var wg sync.WaitGroup
-	errs := make([]error, 24)
-	status := make([]int, 24)
-	for i := 0; i < 24; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := ts.Client().Post(ts.URL+"/v1/identify", "application/json", bytes.NewReader(body))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			status[i] = resp.StatusCode
-			_ = resp.Body.Close()
-		}(i)
-	}
-	hold.waitQueued(t, s, 24)
-	hold.unblock()
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if status[i] != http.StatusOK {
-			t.Errorf("request %d: status %d", i, status[i])
-		}
-	}
-	// At least 20 requests queued behind the held batch: they drain as
-	// full batches of MaxBatch.
-	if st := s.Stats(); st.BatchSizes[3] == 0 {
-		t.Errorf("no full batch of 4 formed behind the held executor: %v", st.BatchSizes)
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -363,11 +296,11 @@ func TestIdentifyRejectsBadRequests(t *testing.T) {
 }
 
 // TestHotReloadKeepsInFlightRequests swaps the model while a request is
-// mid-batch and asserts the in-flight request completes on the model it
+// inside its pipeline slot and asserts the in-flight request completes on the model it
 // started with, while later requests see the new version.
 func TestHotReloadKeepsInFlightRequests(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
-	s, err := New(Config{Registry: fx.registry, MaxBatch: 1, QueueDepth: 4})
+	s, err := New(Config{Registry: fx.registry, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +310,7 @@ func TestHotReloadKeepsInFlightRequests(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var hookOnce sync.Once
-	s.holdBatch = func([]*job) {
+	s.holdSlot = func() {
 		hookOnce.Do(func() {
 			close(entered)
 			<-release
@@ -433,7 +366,7 @@ func TestHotReloadKeepsInFlightRequests(t *testing.T) {
 	}
 
 	// A fresh request is served by the new model.
-	s.holdBatch = nil
+	s.holdSlot = nil
 	resp2, out := postIdentify(t, ts, body)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-reload request: status %d", resp2.StatusCode)
@@ -450,7 +383,7 @@ func TestShedsWith429WhenSaturated(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
 	s, err := New(Config{
 		Registry:   fx.registry,
-		MaxBatch:   1,
+		Workers:    1,
 		QueueDepth: 2,
 		RetryAfter: 3 * time.Second,
 	})
@@ -458,12 +391,12 @@ func TestShedsWith429WhenSaturated(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	s.holdBatch = func([]*job) { <-release }
+	s.holdSlot = func() { <-release }
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	body := encodeRequest(t, fx.sessions[0])
 
-	// Saturate: 1 in the held batch + 2 queued; wait until the queue
+	// Saturate: 1 in the held slot + 2 queued; wait until the queue
 	// really holds 2, then the next request must shed.
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -477,10 +410,10 @@ func TestShedsWith429WhenSaturated(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.batcher.QueueLen() < 2 && time.Now().Before(deadline) {
+	for s.queued() < 2 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if s.batcher.QueueLen() < 2 {
+	if s.queued() < 2 {
 		t.Fatal("queue never filled")
 	}
 
@@ -536,7 +469,7 @@ func TestRetryAfterReflectsDrainRate(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
 	s, err := New(Config{
 		Registry:   fx.registry,
-		MaxBatch:   1,
+		Workers:    1,
 		QueueDepth: 2,
 		RetryAfter: 45 * time.Second, // fallback; computed path must beat it
 	})
@@ -562,7 +495,7 @@ func TestRetryAfterReflectsDrainRate(t *testing.T) {
 
 	// Wedge the pipeline and overfill the queue.
 	release := make(chan struct{})
-	s.holdBatch = func([]*job) { <-release }
+	s.holdSlot = func() { <-release }
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -575,7 +508,7 @@ func TestRetryAfterReflectsDrainRate(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.batcher.QueueLen() < 2 && time.Now().Before(deadline) {
+	for s.queued() < 2 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
@@ -596,19 +529,19 @@ func TestRetryAfterReflectsDrainRate(t *testing.T) {
 	if secs < 1 || secs >= 45 {
 		t.Errorf("Retry-After %ds: want a computed hint in [1, 45)", secs)
 	}
-	// Unwedge BEFORE Shutdown: the drain waits on the executor, which
-	// is parked in the held batch.
+	// Unwedge BEFORE Shutdown: the drain waits for every admitted
+	// request, one of which is parked in the held slot.
 	close(release)
 	wg.Wait()
 	s.Shutdown()
 }
 
 // TestShutdownDrainsAdmittedRequests verifies admitted requests complete
-// during drain: every request is admitted behind a held executor before
-// Shutdown begins, and every one must still finish 200.
+// during drain: every request is admitted behind held pipeline slots
+// before Shutdown begins, and every one must still finish 200.
 func TestShutdownDrainsAdmittedRequests(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
-	s, err := New(Config{Registry: fx.registry, MaxBatch: 2, QueueDepth: 16})
+	s, err := New(Config{Registry: fx.registry, Workers: 2, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +549,7 @@ func TestShutdownDrainsAdmittedRequests(t *testing.T) {
 	defer ts.Close()
 	body := encodeRequest(t, fx.sessions[0])
 
-	hold := holdExecutor(s)
+	hold := holdSlots(s)
 	results := make(chan int, 8)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -632,17 +565,16 @@ func TestShutdownDrainsAdmittedRequests(t *testing.T) {
 			results <- resp.StatusCode
 		}()
 	}
-	// Begin the drain while all 8 wait on the held executor: Shutdown
-	// closes admission at once, then blocks until the queue is drained.
-	hold.waitQueued(t, s, 8)
+	// Begin the drain while all 8 are admitted, 2 of them held in their
+	// slots: Shutdown closes admission at once, then blocks until every
+	// admitted request has finished.
+	waitFor(t, hold, "8 admitted requests", func() bool { return s.adm.unfinished() == 8 })
 	drained := make(chan struct{})
 	go func() {
 		s.Shutdown()
 		close(drained)
 	}()
-	for _, err := s.batcher.SubmitAll(nil); err != parallel.ErrClosed; _, err = s.batcher.SubmitAll(nil) {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, hold, "admission to close", s.adm.closed)
 	hold.unblock()
 	wg.Wait()
 	<-drained
@@ -652,7 +584,7 @@ func TestShutdownDrainsAdmittedRequests(t *testing.T) {
 			t.Errorf("admitted request finished with %d during drain", code)
 		}
 	}
-	if st := s.Stats(); st.BatchSizes[1] == 0 {
-		t.Errorf("no batch of 2 formed behind the held executor: %v", st.BatchSizes)
+	if st := s.Stats(); st.BatchSizes[0] != 8 {
+		t.Errorf("BatchSizes[0] = %d, want the 8 one-capture requests: %v", st.BatchSizes[0], st.BatchSizes)
 	}
 }

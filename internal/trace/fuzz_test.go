@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 	"time"
 
@@ -31,11 +33,18 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("CSIT"))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	// The valid trace with a +Inf carrier in its header.
+	infCarrier := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint64(infCarrier[8:16], math.Float64bits(math.Inf(1)))
+	f.Add(infCarrier)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			return // rejected cleanly
+		}
+		if err := csi.CheckCarrier(r.Header().Carrier); err != nil {
+			t.Fatalf("accepted a header with an invalid carrier: %v", err)
 		}
 		for i := 0; i < 100; i++ {
 			pkt, err := r.ReadPacket()

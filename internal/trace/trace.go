@@ -60,8 +60,8 @@ func NewWriter(w io.Writer, numAnt int, carrier float64) (*Writer, error) {
 	if numAnt < 1 || numAnt > 255 {
 		return nil, fmt.Errorf("trace: antenna count %d outside [1,255]", numAnt)
 	}
-	if carrier <= 0 {
-		return nil, fmt.Errorf("trace: non-positive carrier %v", carrier)
+	if err := csi.CheckCarrier(carrier); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return &Writer{
 		w:      w,
@@ -182,7 +182,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if hdr.NumAnt < 1 {
 		return nil, fmt.Errorf("trace: header has %d antennas", hdr.NumAnt)
 	}
-	if hdr.Carrier <= 0 || math.IsNaN(hdr.Carrier) {
+	if csi.CheckCarrier(hdr.Carrier) != nil {
 		return nil, fmt.Errorf("trace: header has invalid carrier %v", hdr.Carrier)
 	}
 	tr.hdr = hdr

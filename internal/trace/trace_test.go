@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -95,6 +97,43 @@ func TestNewWriterValidation(t *testing.T) {
 	}
 	if _, err := NewWriter(&buf, 3, 0); err == nil {
 		t.Error("zero carrier should error")
+	}
+}
+
+// TestCarrierMustBeFiniteAndPositive pins the carrier check on both ends
+// of the format: NewWriter refuses to start a trace, and NewReader refuses
+// a header patched into a valid trace, unless the carrier is finite and
+// positive. The values rejected before NaN and +Inf were keep their text.
+func TestCarrierMustBeFiniteAndPositive(t *testing.T) {
+	var valid bytes.Buffer
+	w, err := NewWriter(&valid, 3, 5.32e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteCapture(randomCapture(t, rand.New(rand.NewSource(1)), 3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		carrier           float64
+		writerErr, reader string
+	}{
+		{5.32e9, "", ""},
+		{0, "trace: non-positive carrier 0", "trace: header has invalid carrier 0"},
+		{-1, "trace: non-positive carrier -1", "trace: header has invalid carrier -1"},
+		{math.NaN(), "trace: non-finite carrier NaN", "trace: header has invalid carrier NaN"},
+		{math.Inf(1), "trace: non-finite carrier +Inf", "trace: header has invalid carrier +Inf"},
+		{math.Inf(-1), "trace: non-positive carrier -Inf", "trace: header has invalid carrier -Inf"},
+	} {
+		_, err := NewWriter(io.Discard, 3, tc.carrier)
+		if (err == nil) != (tc.writerErr == "") || (err != nil && err.Error() != tc.writerErr) {
+			t.Errorf("carrier %v: NewWriter error %v, want %q", tc.carrier, err, tc.writerErr)
+		}
+		data := bytes.Clone(valid.Bytes())
+		binary.LittleEndian.PutUint64(data[8:16], math.Float64bits(tc.carrier))
+		_, err = NewReader(bytes.NewReader(data))
+		if (err == nil) != (tc.reader == "") || (err != nil && err.Error() != tc.reader) {
+			t.Errorf("carrier %v: NewReader error %v, want %q", tc.carrier, err, tc.reader)
+		}
 	}
 }
 
