@@ -1,9 +1,6 @@
 package mathx
 
-import (
-	"math"
-	"math/cmplx"
-)
+import "math/cmplx"
 
 // Phases returns the argument of every element of zs in radians.
 func Phases(zs []complex128) []float64 {
@@ -12,53 +9,4 @@ func Phases(zs []complex128) []float64 {
 		out[i] = cmplx.Phase(z)
 	}
 	return out
-}
-
-// Magnitudes returns the modulus of every element of zs.
-func Magnitudes(zs []complex128) []float64 {
-	out := make([]float64, len(zs))
-	for i, z := range zs {
-		out[i] = cmplx.Abs(z)
-	}
-	return out
-}
-
-// Polar builds a complex number from magnitude and phase (radians).
-func Polar(mag, phase float64) complex128 {
-	return cmplx.Rect(mag, phase)
-}
-
-// MeanComplex returns the arithmetic mean of zs, or NaN+NaNi when empty.
-func MeanComplex(zs []complex128) complex128 {
-	if len(zs) == 0 {
-		return complex(math.NaN(), math.NaN())
-	}
-	var s complex128
-	for _, z := range zs {
-		s += z
-	}
-	return s / complex(float64(len(zs)), 0)
-}
-
-// PowerComplex returns the mean squared magnitude of zs, or NaN when empty.
-func PowerComplex(zs []complex128) float64 {
-	if len(zs) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, z := range zs {
-		re, im := real(z), imag(z)
-		s += re*re + im*im
-	}
-	return s / float64(len(zs))
-}
-
-// DBFromRatio converts an amplitude ratio to decibels (20·log10).
-func DBFromRatio(ratio float64) float64 {
-	return 20 * math.Log10(ratio)
-}
-
-// RatioFromDB converts decibels to an amplitude ratio.
-func RatioFromDB(db float64) float64 {
-	return math.Pow(10, db/20)
 }

@@ -2,9 +2,7 @@ package mathx
 
 import (
 	"math"
-	"math/cmplx"
 	"testing"
-	"testing/quick"
 )
 
 func TestPhasesMagnitudes(t *testing.T) {
@@ -15,69 +13,5 @@ func TestPhasesMagnitudes(t *testing.T) {
 		if !AlmostEqual(ph[i], wantPh[i], 1e-12) {
 			t.Errorf("Phases[%d] = %v, want %v", i, ph[i], wantPh[i])
 		}
-	}
-	mags := Magnitudes(zs)
-	wantMag := []float64{1, 1, 1, 1, 5}
-	for i := range wantMag {
-		if !AlmostEqual(mags[i], wantMag[i], 1e-12) {
-			t.Errorf("Magnitudes[%d] = %v, want %v", i, mags[i], wantMag[i])
-		}
-	}
-}
-
-func TestPolarRoundTrip(t *testing.T) {
-	f := func(magRaw, phRaw float64) bool {
-		if math.IsNaN(magRaw) || math.IsInf(magRaw, 0) || math.IsNaN(phRaw) || math.IsInf(phRaw, 0) {
-			return true
-		}
-		mag := math.Abs(math.Mod(magRaw, 1e3)) + 0.001
-		ph := WrapAngle(phRaw)
-		z := Polar(mag, ph)
-		return AlmostEqual(cmplx.Abs(z), mag, 1e-9) &&
-			math.Abs(AngleDiff(cmplx.Phase(z), ph)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMeanComplex(t *testing.T) {
-	got := MeanComplex([]complex128{1 + 1i, 3 + 3i})
-	if got != 2+2i {
-		t.Errorf("MeanComplex = %v, want (2+2i)", got)
-	}
-	empty := MeanComplex(nil)
-	if !math.IsNaN(real(empty)) || !math.IsNaN(imag(empty)) {
-		t.Errorf("MeanComplex(nil) = %v, want NaN+NaNi", empty)
-	}
-}
-
-func TestPowerComplex(t *testing.T) {
-	// |1+i|² = 2, |2|² = 4 → mean 3.
-	if got := PowerComplex([]complex128{1 + 1i, 2}); !AlmostEqual(got, 3, 1e-12) {
-		t.Errorf("PowerComplex = %v, want 3", got)
-	}
-	if !math.IsNaN(PowerComplex(nil)) {
-		t.Error("PowerComplex(nil) should be NaN")
-	}
-}
-
-func TestDBConversions(t *testing.T) {
-	if got := DBFromRatio(10); !AlmostEqual(got, 20, 1e-12) {
-		t.Errorf("DBFromRatio(10) = %v, want 20", got)
-	}
-	if got := RatioFromDB(20); !AlmostEqual(got, 10, 1e-12) {
-		t.Errorf("RatioFromDB(20) = %v, want 10", got)
-	}
-	// Round trip property.
-	f := func(db float64) bool {
-		if math.IsNaN(db) || math.IsInf(db, 0) {
-			return true
-		}
-		db = math.Mod(db, 100)
-		return AlmostEqual(DBFromRatio(RatioFromDB(db)), db, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

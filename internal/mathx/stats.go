@@ -40,21 +40,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// SampleVariance returns the unbiased sample variance (dividing by N-1),
-// or NaN when len(xs) < 2.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	mu := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - mu
-		sum += d * d
-	}
-	return sum / float64(len(xs)-1)
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
@@ -346,20 +331,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// ArgMin returns the index of the smallest element of xs, or -1 when empty.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // ArgMax returns the index of the largest element of xs, or -1 when empty.
 func ArgMax(xs []float64) int {
 	if len(xs) == 0 {
@@ -374,21 +345,29 @@ func ArgMax(xs []float64) int {
 	return best
 }
 
-// ArgSort returns the permutation that sorts xs ascending. xs is not
-// mutated; ties keep their original relative order (stable).
+// argLess is the order ArgSort and ArgSortBuf share: the usual < between
+// numbers, every NaN after every number, NaNs tied with one another. It is
+// a strict weak order, so a stable sort under it is well defined.
+func argLess(a, b float64) bool {
+	return a < b || (b != b && a == a)
+}
+
+// ArgSort returns the permutation that sorts xs ascending, NaNs last. xs is
+// not mutated; ties, NaNs among them, keep their original relative order
+// (stable).
 func ArgSort(xs []float64) []int {
 	idx := make([]int, len(xs))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
+	sort.SliceStable(idx, func(a, b int) bool { return argLess(xs[idx[a]], xs[idx[b]]) })
 	return idx
 }
 
 // ArgSortBuf is ArgSort with a caller-owned index buffer: idx is grown as
 // needed, filled with the stable-sort permutation and returned. The
-// permutation is identical to ArgSort's (both are stable under <), but the
-// insertion sort used here allocates nothing — sized for the short
+// permutation is identical to ArgSort's (both are stable under argLess),
+// but the insertion sort used here allocates nothing — sized for the short
 // fixed-length vectors (e.g. 30 subcarrier variances) of the hot path.
 func ArgSortBuf(xs []float64, idx []int) []int {
 	if cap(idx) < len(xs) {
@@ -401,63 +380,13 @@ func ArgSortBuf(xs []float64, idx []int) []int {
 	for i := 1; i < len(idx); i++ {
 		v := idx[i]
 		j := i - 1
-		for j >= 0 && xs[v] < xs[idx[j]] {
+		for j >= 0 && argLess(xs[v], xs[idx[j]]) {
 			idx[j+1] = idx[j]
 			j--
 		}
 		idx[j+1] = v
 	}
 	return idx
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-// n == 1 returns [lo]; n <= 0 returns nil.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	if n == 1 {
-		out[0] = lo
-		return out
-	}
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
-}
-
-// Sum returns the sum of xs (0 for empty input).
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Dot returns the inner product of a and b. Panics are avoided: extra
-// trailing elements of the longer slice are ignored.
-func Dot(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var s float64
-	for i := 0; i < n; i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of xs.
-func Norm2(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // Power returns the mean squared value of xs (signal power), or NaN when
@@ -471,25 +400,6 @@ func Power(xs []float64) float64 {
 		s += x * x
 	}
 	return s / float64(len(xs))
-}
-
-// Scale returns a copy of xs with every element multiplied by c.
-func Scale(xs []float64, c float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = c * x
-	}
-	return out
-}
-
-// AbsAll returns a copy of xs with every element replaced by its absolute
-// value.
-func AbsAll(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = math.Abs(x)
-	}
-	return out
 }
 
 // Clamp limits v to the closed interval [lo, hi].

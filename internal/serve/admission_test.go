@@ -17,15 +17,22 @@ import (
 	"repro/internal/material"
 )
 
+// pastDeadline is a context whose deadline has passed but which nothing
+// has cancelled yet.
+type pastDeadline struct{ context.Context }
+
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
 // TestAdmissionBoundsAndCounters drives admission to its bound with every
 // pipeline slot held. With Workers 2 and QueueDepth 3, exactly 2
 // pipelines run and 3 requests wait; beyond them a single request gets
 // 429 with Retry-After and a frame sheds per slot. A request whose
 // deadline passes while it waits gets 504 and never enters a pipeline;
 // one whose deadline passes inside its pipeline gets 504, never the late
-// verdict. After release every 200 equals IdentifyDetailedP's answer bit
-// for bit, and served + shed + timeouts + failed reconcile exactly with
-// the 200, 429, 504 and 422 answers.
+// verdict, even before its context is cancelled. After release every 200
+// equals IdentifyDetailedP's answer bit for bit, and served + shed +
+// timeouts + failed reconcile exactly with the 200, 429, 504 and 422
+// answers.
 func TestAdmissionBoundsAndCounters(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey, material.Oil})
 	s, err := New(Config{Registry: fx.registry, Workers: 2, QueueDepth: 3})
@@ -161,6 +168,12 @@ func TestAdmissionBoundsAndCounters(t *testing.T) {
 	late.unblock()
 	if o := <-lateDone; o.status != http.StatusGatewayTimeout || !bytes.Equal(o.body, []byte("{\"error\":\"request deadline exceeded\"}\n")) {
 		t.Errorf("deadline passed inside the pipeline: status %d, body %s", o.status, o.body)
+	}
+	// The same holds before the context is cancelled: a child context
+	// stays uncancelled between its parent's timer closing Done and
+	// cancelling the children.
+	if o := single(pastDeadline{context.Background()}, 0, bodies[0]); o.status != http.StatusGatewayTimeout {
+		t.Errorf("deadline passed, context not yet cancelled: status %d, body %s", o.status, o.body)
 	}
 
 	// A capture with a non-finite value at a used subcarrier fails.

@@ -150,39 +150,51 @@ func BenchmarkServeIdentify(b *testing.B) {
 // BenchmarkDecodeSession measures the request decode every /v1/identify
 // body and batch slot pays: canonical bodies of 20 and 100 packets per
 // capture take the path without the JSON scanner, and a pretty-printed
-// 20-packet body takes the json.Unmarshal fallback.
+// 20-packet body takes the json.Unmarshal fallback. The canonical cases
+// rotate over 16 distinct bodies, as serve sees distinct requests, so the
+// decode does not read one cache-hot body.
 func BenchmarkDecodeSession(b *testing.B) {
-	session := func(packets int) *csi.Session {
-		sc := simulate.Default()
-		sc.Packets = packets
-		s, err := simulate.Session(sc, 11)
-		if err != nil {
-			b.Fatal(err)
+	sessions := func(packets, n int) []*csi.Session {
+		out := make([]*csi.Session, n)
+		for i := range out {
+			sc := simulate.Default()
+			sc.Packets = packets
+			var err error
+			if out[i], err = simulate.Session(sc, int64(11+i*7919)); err != nil {
+				b.Fatal(err)
+			}
 		}
-		return s
+		return out
 	}
-	s20 := session(20)
+	bodies := func(ss []*csi.Session) [][]byte {
+		out := make([][]byte, len(ss))
+		for i, s := range ss {
+			out[i] = encodeRequest(b, s)
+		}
+		return out
+	}
+	s20 := sessions(20, 16)
 	pretty, err := json.MarshalIndent(IdentifyRequest{
-		Baseline: encodeTrace(b, &s20.Baseline, s20.Carrier),
-		Target:   encodeTrace(b, &s20.Target, s20.Carrier),
+		Baseline: encodeTrace(b, &s20[0].Baseline, s20[0].Carrier),
+		Target:   encodeTrace(b, &s20[0].Target, s20[0].Carrier),
 	}, "", "  ")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
-		name string
-		body []byte
+		name   string
+		bodies [][]byte
 	}{
-		{"canonical-20", encodeRequest(b, s20)},
-		{"canonical-100", encodeRequest(b, session(100))},
-		{"pretty-20", pretty},
+		{"canonical-20", bodies(s20)},
+		{"canonical-100", bodies(sessions(100, 16))},
+		{"pretty-20", [][]byte{pretty}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			sc := new(decodeScratch)
-			b.SetBytes(int64(len(bc.body)))
+			b.SetBytes(int64(len(bc.bodies[0])))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sc.decodeSession(bc.body); err != nil {
+				if _, err := sc.decodeSession(bc.bodies[i%len(bc.bodies)]); err != nil {
 					b.Fatal(err)
 				}
 			}

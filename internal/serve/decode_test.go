@@ -96,6 +96,17 @@ func decodeCases(t testing.TB) []decodeCase {
 		return base64.StdEncoding.EncodeToString(encodeTrace(t, c, session.Carrier))
 	}
 	baseline, target := b64(&session.Baseline), b64(&session.Target)
+	// A 3-packet baseline encodes to a span ending in "==" (a 1-packet one
+	// ends in a single '=').
+	sc.Packets = 3
+	long, err := simulate.Session(sc, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doublePadded := b64(&long.Baseline)
+	if !strings.HasSuffix(doublePadded, "==") {
+		t.Fatalf("3-packet baseline span ends %q, want ==", doublePadded[len(doublePadded)-4:])
+	}
 	body := func(format string, args ...any) []byte { return fmt.Appendf(nil, format, args...) }
 	// inBaseline edits the baseline's base64 span; the edit must apply.
 	inBaseline := func(edit func(span string) string) []byte {
@@ -128,10 +139,23 @@ func decodeCases(t testing.TB) []decodeCase {
 		{"padding-mid-string", inBaseline(func(s string) string { return s[:6] + "==" + s[8:] }), false},
 		{"non-ascii", inBaseline(func(s string) string { return s[:8] + "\xff" + s[9:] }), false},
 		{"unpadded", inBaseline(func(s string) string { return strings.TrimRight(s, "=") }), false},
+		{"nonzero-pad-bits", inBaseline(setDiscardedBits), true},
+		{"double-padding", body(`{"baseline":"%s","target":"%s"}`, doublePadded, target), true},
 		{"trailing-junk", append(bytes.Clone(canonical), "junk"...), false},
 		{"truncated-canonical", canonical[:len(canonical)-1], false},
 		{"canonical-twice", append(bytes.Clone(canonical), canonical...), false},
 	}
+}
+
+// setDiscardedBits sets the bits a padded span's last character carries
+// past the decoded bytes — the low 2 bits before "=", the low 4 before "==" —
+// which every non-strict decoder ignores.
+func setDiscardedBits(span string) string {
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+	data := strings.TrimRight(span, "=")
+	mask := 1<<(2*(len(span)-len(data))) - 1
+	last := strings.IndexByte(alphabet, data[len(data)-1])
+	return data[:len(data)-1] + string(alphabet[last|mask]) + span[len(data):]
 }
 
 // TestDecodeSessionMatchesJSONUnmarshal pins the canonical path to the

@@ -23,7 +23,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -307,7 +306,10 @@ func (s *Server) identify(ctx context.Context, m *registry.Model, session *csi.S
 	det, err := m.Identifier.IdentifyDetailedP(pl, session)
 	core.PutPipeline(pl)
 	<-s.slots
-	if ctx.Err() != nil {
+	// The clock decides too: when a parent context's timer fires, its Done
+	// closes before the timer's goroutine cancels the children, so ctx.Err()
+	// can still be nil just after the deadline.
+	if dl, ok := ctx.Deadline(); ctx.Err() != nil || (ok && !time.Now().Before(dl)) {
 		return core.Detail{}, errExpiredRunning
 	}
 	return det, err
@@ -586,10 +588,11 @@ var traceBufPool = sync.Pool{New: func() any { return new([]byte) }}
 //
 // followed only by JSON whitespace — straight from body into *buf, and
 // reports false for anything else: escapes, inner whitespace, another key
-// order or spelling, null, or base64 that does not decode. For a body it
-// accepts, json.Unmarshal would decode the very same bytes, because a
-// string with no escapes unquotes to itself and encoding/json decodes a
-// []byte field with the same base64.StdEncoding.Decode.
+// order or spelling, null, or base64 outside decodeBase64's canonical set.
+// For a body it accepts, json.Unmarshal would decode the very same bytes,
+// because a string with no escapes unquotes to itself and decodeBase64
+// returns what base64.StdEncoding.Decode, encoding/json's []byte decoder,
+// returns for such a span.
 func canonicalTraces(body []byte, buf *[]byte) (baseline, target []byte, ok bool) {
 	rest, ok1 := bytes.CutPrefix(body, []byte(`{"baseline":"`))
 	b64Baseline, rest, ok2 := bytes.Cut(rest, []byte(`"`))
@@ -599,8 +602,8 @@ func canonicalTraces(body []byte, buf *[]byte) (baseline, target []byte, ok bool
 	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 || len(bytes.TrimLeft(rest, " \t\r\n")) > 0 {
 		return nil, nil, false
 	}
-	nb := base64.StdEncoding.DecodedLen(len(b64Baseline))
-	n := nb + base64.StdEncoding.DecodedLen(len(b64Target))
+	nb := len(b64Baseline) / 4 * 3
+	n := nb + len(b64Target)/4*3
 	if cap(*buf) < n {
 		*buf = make([]byte, n)
 	}
@@ -612,28 +615,6 @@ func canonicalTraces(body []byte, buf *[]byte) (baseline, target []byte, ok bool
 		return nil, nil, false
 	}
 	return baseline, target, true
-}
-
-// decodeBase64 decodes one canonical span into dst. The decoder itself
-// rejects any byte outside the standard alphabet and misplaced padding,
-// but it skips '\r' and '\n', which JSON forbids raw inside a string. A
-// decode that skipped any when len(src) is a multiple of four skipped at
-// least four, which costs at least three output bytes against the length
-// the span's padding implies, so the length check sends it to the
-// fallback.
-func decodeBase64(dst, src []byte) ([]byte, bool) {
-	n, err := base64.StdEncoding.Decode(dst, src)
-	if err != nil || len(src)%4 != 0 {
-		return nil, false
-	}
-	want := len(src) / 4 * 3
-	switch {
-	case bytes.HasSuffix(src, []byte("==")):
-		want -= 2
-	case bytes.HasSuffix(src, []byte("=")):
-		want--
-	}
-	return dst[:n], n == want
 }
 
 func (sc *decodeScratch) decodeTrace(dst *csi.Capture, data []byte) (float64, error) {
