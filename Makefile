@@ -24,18 +24,27 @@ bench-build:
 	cd benchmark && GOTOOLCHAIN=local GOPROXY=off go vet ./... && GOTOOLCHAIN=local GOPROXY=off go test -short -count=1 -run '^$$' ./...
 
 # alloc-guard pins the zero-allocation inference contract: a warmed
-# core.Pipeline identifies without allocating (single, batched, and
-# baseline-cached batched paths), a warmed segmenter ring strides — push,
+# core.Pipeline identifies without allocating (uncached, and through a warm
+# baseline cache as the hub does), a warmed segmenter ring strides — push,
 # trim, emit, release — without allocating, a warmed trace reader decodes
 # records without allocating, and a steady-state serve request (plus a
 # steady-state gateway relay) stays under its allocation budget. Run
-# WITHOUT -race (the guards skip themselves under instrumentation).
+# WITHOUT -race (the guards skip themselves under instrumentation). Each
+# named guard must run and pass: go test -run alone exits 0 with "no tests
+# to run" when a name matches nothing, and a skipped guard guards nothing.
 alloc-guard:
-	go test -count=1 -run 'TestIdentifyPZeroAllocSteadyState|TestIdentifyBatchPZeroAllocSteadyState|TestIdentifyBatchCachedPZeroAllocSteadyState' ./internal/core
-	go test -count=1 -run 'TestSegmenterStrideAllocSteadyState' ./internal/monitor
-	go test -count=1 -run 'TestReaderRecordsDoNotAllocate' ./internal/trace
-	go test -count=1 -run 'TestHandleIdentifyAllocSteadyState' ./internal/serve
-	go test -count=1 -run 'TestGatewayRelayAllocSteadyState' ./internal/gateway
+	@$(call guard,./internal/core,TestIdentifyPZeroAllocSteadyState)
+	@$(call guard,./internal/monitor,TestSegmenterStrideAllocSteadyState)
+	@$(call guard,./internal/trace,TestReaderRecordsDoNotAllocate)
+	@$(call guard,./internal/serve,TestHandleIdentifyAllocSteadyState)
+	@$(call guard,./internal/gateway,TestGatewayRelayAllocSteadyState)
+
+# guard runs the |-separated top-level tests $(2) of package $(1) and fails
+# unless every one of them ran and passed.
+guard = out=$$(go test -count=1 -v -run '^($(2))$$' $(1) 2>&1) || { echo "$$out"; exit 1; }; \
+	for name in $$(echo '$(2)' | tr '|' ' '); do \
+		echo "$$out" | grep -q "^--- PASS: $$name " || { echo "$$out"; echo "alloc-guard: $$name did not run and pass in $(1)"; exit 1; }; \
+	done; echo "ok   $(1) $(2)"
 
 # svm-determinism pins the parallel-training contract under the race
 # detector: byte-identical multiclass models and identical grid-search
@@ -70,12 +79,14 @@ hub-smoke:
 # fixed 10 s each: go test takes one -fuzz target per run. It is a
 # budgeted search, not a gate, so it stays out of check; the committed
 # seed corpora under each package's testdata/fuzz replay on every plain
-# go test instead.
+# go test instead. -fuzzminimizetime is short because a run executes
+# nothing while it minimises a new input, and Go's default of 60 s would
+# spend most of the budget there.
 fuzz:
 	@set -e; for dir in $$(go list -f '{{.Dir}}' ./...); do \
 		for target in $$(cat $$dir/*_test.go 2>/dev/null | sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p'); do \
 			echo "fuzz $$dir $$target"; \
-			go test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$dir; \
+			go test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s $$dir; \
 		done; \
 	done
 

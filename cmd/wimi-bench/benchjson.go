@@ -98,7 +98,9 @@ func measureMicro(name string, fn func()) benchMicro {
 	runtime.ReadMemStats(&before)
 	start := time.Now()
 	var iters int64
-	for time.Since(start) < microBenchTime {
+	// At least one timed call: a stall before the first check would leave
+	// iters at 0 and the record with an infinite ns/op JSON cannot encode.
+	for iters == 0 || time.Since(start) < microBenchTime {
 		fn()
 		iters++
 	}
@@ -184,35 +186,29 @@ func microBenchmarks() []benchMicro {
 			}
 		}),
 	}
-	micro = append(micro, svmPredictMicros(x, labels)...)
+	micro = append(micro, svmPredictMicro(x, labels))
 	micro = append(micro, serveMicroBenchmarks()...)
 	micro = append(micro, gatewayMicroBenchmarks()...)
 	return append(micro, hubMicroBenchmarks()...)
 }
 
-// svmPredictMicros isolates the classifier stage the serve batch path
-// rides on: eight queries classified one at a time versus one blocked
-// PredictBatch call over the deduplicated support-vector pool. Both use
-// caller-owned scratch, so the numbers are pure kernel arithmetic.
-func svmPredictMicros(x [][]float64, labels []string) []benchMicro {
+// svmPredictMicro isolates the classifier stage: eight queries classified
+// one at a time over the deduplicated support-vector pool with
+// caller-owned scratch, so the number is pure kernel arithmetic.
+func svmPredictMicro(x [][]float64, labels []string) benchMicro {
 	model, err := svm.TrainMulticlass(x, labels, svm.RBFKernel{Gamma: 0.5}, svm.Config{C: 10, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	// One query per class plus repeats, like a mixed micro-batch.
+	// One query per class plus repeats.
 	queries := make([][]float64, 8)
 	for i := range queries {
 		queries[i] = x[(i*len(x)/8+i)%len(x)]
 	}
 	var psc svm.PredictScratch
-	var bsc svm.BatchScratch
-	seq := measureMicro("svm-predict-seq8", func() {
+	return measureMicro("svm-predict-seq8", func() {
 		for _, q := range queries {
 			model.PredictWithConfidenceScratch(q, &psc)
 		}
 	})
-	batch := measureMicro("svm-predict-batch8", func() {
-		model.PredictBatch(queries, &bsc)
-	})
-	return []benchMicro{seq, batch}
 }

@@ -89,11 +89,11 @@ func serveMicroBenchmarks() []benchMicro {
 	// running session → Ω verdict with zero steady-state allocation.
 	id := registryActive(modelPath)
 	pl := core.NewPipeline()
-	if _, err := id.IdentifyDetailedP(pl, session); err != nil {
+	if _, err := id.IdentifyDetailedP(pl, session, nil); err != nil {
 		panic(err)
 	}
 	pooled := measureMicro("core-identify-pooled", func() {
-		if _, err := id.IdentifyDetailedP(pl, session); err != nil {
+		if _, err := id.IdentifyDetailedP(pl, session, nil); err != nil {
 			panic(err)
 		}
 	})
@@ -113,7 +113,7 @@ func serveMicroBenchmarks() []benchMicro {
 		}
 		next := 0
 		pipeline = append(pipeline, measureMicro(fmt.Sprintf("pipeline-identify-%d", packets), func() {
-			if _, err := id.IdentifyDetailedP(pl, sessions[next]); err != nil {
+			if _, err := id.IdentifyDetailedP(pl, sessions[next], nil); err != nil {
 				panic(err)
 			}
 			next = (next + 1) % len(sessions)

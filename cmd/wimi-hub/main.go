@@ -117,7 +117,6 @@ func run(args []string, out *os.File) error {
 		seed      = fs.Int64("seed", 1, "simulation seed")
 		quietLen  = fs.Int("quiet", 40, "quiet packets before each simulated target")
 		targetLen = fs.Int("target", 200, "target packets per simulated pass")
-		batchMax  = fs.Int("batch", 0, "max sessions per cross-stream classification batch (0 = default)")
 		pprofAddr = fs.String("pprof", "", "serve pprof on this address (empty = disabled)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -144,7 +143,6 @@ func run(args []string, out *os.File) error {
 		Segment:          monitor.SegmenterOptions{Stride: *stride},
 		Workers:          *workers,
 		PendingPerStream: *pending,
-		BatchMax:         *batchMax,
 		ConfirmVerdicts:  *confirm,
 		ConfidenceFloor:  *floor,
 		EpochInterval:    *epoch,

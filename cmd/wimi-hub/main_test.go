@@ -176,9 +176,6 @@ func TestHubSmoke(t *testing.T) {
 		"-loop=false",
 		"-collect", "line-a="+srvAddr,
 		"-epoch", "500ms",
-		// Cross-stream batching explicitly on: convergence must hold when
-		// verdicts come out of shared classification batches.
-		"-batch", "8",
 	)
 	stdout, err := proc.StdoutPipe()
 	if err != nil {
@@ -313,7 +310,6 @@ func TestHubPprofEndpoint(t *testing.T) {
 		"-model", model,
 		"-streams", "2",
 		"-loop=false",
-		"-batch", "4",
 		"-pprof", "127.0.0.1:0",
 	)
 	stdout, err := proc.StdoutPipe()

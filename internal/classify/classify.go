@@ -276,46 +276,3 @@ func SplitTrainTest(d *Dataset, testFrac float64, rng *rand.Rand) (train, test *
 	sort.Ints(testIdx)
 	return d.Subset(trainIdx), d.Subset(testIdx), nil
 }
-
-// StratifiedKFold returns k (trainIdx, testIdx) pairs with class balance
-// preserved across folds.
-func StratifiedKFold(d *Dataset, k int, rng *rand.Rand) (folds [][2][]int, err error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if k < 2 || k > d.Len() {
-		return nil, fmt.Errorf("classify: k=%d outside [2,%d]", k, d.Len())
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("classify: nil random source")
-	}
-	byClass := make(map[string][]int)
-	for i, lab := range d.Labels {
-		byClass[lab] = append(byClass[lab], i)
-	}
-	testSets := make([][]int, k)
-	for _, c := range d.Classes() {
-		idx := byClass[c]
-		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		for pos, sample := range idx {
-			f := pos % k
-			testSets[f] = append(testSets[f], sample)
-		}
-	}
-	for f := 0; f < k; f++ {
-		inTest := make(map[int]bool, len(testSets[f]))
-		for _, i := range testSets[f] {
-			inTest[i] = true
-		}
-		var train []int
-		for i := 0; i < d.Len(); i++ {
-			if !inTest[i] {
-				train = append(train, i)
-			}
-		}
-		test := append([]int(nil), testSets[f]...)
-		sort.Ints(test)
-		folds = append(folds, [2][]int{train, test})
-	}
-	return folds, nil
-}

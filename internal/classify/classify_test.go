@@ -176,56 +176,6 @@ func TestSplitTrainTestErrors(t *testing.T) {
 	}
 }
 
-func TestStratifiedKFold(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	d := gaussianDataset(rng, 10) // 30 samples
-	folds, err := StratifiedKFold(d, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(folds) != 5 {
-		t.Fatalf("folds = %d", len(folds))
-	}
-	seen := make(map[int]int)
-	for _, f := range folds {
-		train, test := f[0], f[1]
-		if len(train)+len(test) != d.Len() {
-			t.Errorf("fold sizes %d+%d != %d", len(train), len(test), d.Len())
-		}
-		// No overlap.
-		inTest := make(map[int]bool)
-		for _, i := range test {
-			inTest[i] = true
-			seen[i]++
-		}
-		for _, i := range train {
-			if inTest[i] {
-				t.Error("train/test overlap")
-			}
-		}
-	}
-	// Every sample appears in exactly one test fold.
-	for i := 0; i < d.Len(); i++ {
-		if seen[i] != 1 {
-			t.Errorf("sample %d in %d test folds", i, seen[i])
-		}
-	}
-}
-
-func TestStratifiedKFoldErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := gaussianDataset(rng, 2)
-	if _, err := StratifiedKFold(d, 1, rng); err == nil {
-		t.Error("k=1 should error")
-	}
-	if _, err := StratifiedKFold(d, 100, rng); err == nil {
-		t.Error("k > n should error")
-	}
-	if _, err := StratifiedKFold(d, 3, nil); err == nil {
-		t.Error("nil rng should error")
-	}
-}
-
 func TestConfusionMatrix(t *testing.T) {
 	cm, err := NewConfusionMatrix([]string{"a", "b"})
 	if err != nil {
@@ -286,46 +236,5 @@ func TestConfusionMatrixEmptyAccuracy(t *testing.T) {
 	}
 	if r, err := cm.Rate("a", "a"); err != nil || r != 0 {
 		t.Error("empty rate should be 0")
-	}
-}
-
-func TestEvaluateWithKNN(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	d := gaussianDataset(rng, 30)
-	train, test, err := SplitTrainTest(d, 0.3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	knn, err := NewKNN(3, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := Evaluate(knn, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := cm.Accuracy(); acc < 0.9 {
-		t.Errorf("kNN accuracy on separable Gaussians = %v, want ≥ 0.9", acc)
-	}
-}
-
-// stubClassifier predicts a class that is not in the test set.
-type stubClassifier struct{}
-
-func (stubClassifier) Predict([]float64) string { return "mystery" }
-
-func TestEvaluateUnseenPrediction(t *testing.T) {
-	d := &Dataset{}
-	d.Append([]float64{1}, "a")
-	d.Append([]float64{2}, "b")
-	cm, err := Evaluate(stubClassifier{}, d)
-	if err != nil {
-		t.Fatalf("unseen predicted class should be tolerated: %v", err)
-	}
-	if cm.Accuracy() != 0 {
-		t.Error("all predictions wrong, accuracy should be 0")
-	}
-	if cm.Count("a", "mystery") != 1 {
-		t.Error("prediction not recorded under new class")
 	}
 }

@@ -2,7 +2,6 @@ package classify
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -157,39 +156,4 @@ func (cm *ConfusionMatrix) String() string {
 	}
 	fmt.Fprintf(&b, "overall accuracy: %.1f%% (%d samples)\n", 100*cm.Accuracy(), cm.total)
 	return b.String()
-}
-
-// Evaluate runs the classifier over the dataset and builds a confusion
-// matrix over the union of dataset classes (sorted).
-func Evaluate(c Classifier, test *Dataset) (*ConfusionMatrix, error) {
-	if err := test.Validate(); err != nil {
-		return nil, err
-	}
-	classes := test.Classes()
-	// Include any predicted-but-unseen classes lazily: collect predictions
-	// first.
-	preds := make([]string, test.Len())
-	seen := make(map[string]bool)
-	for _, c := range classes {
-		seen[c] = true
-	}
-	extra := []string{}
-	for i, x := range test.X {
-		preds[i] = c.Predict(x)
-		if !seen[preds[i]] {
-			seen[preds[i]] = true
-			extra = append(extra, preds[i])
-		}
-	}
-	sort.Strings(extra)
-	cm, err := NewConfusionMatrix(append(classes, extra...))
-	if err != nil {
-		return nil, err
-	}
-	for i := range preds {
-		if err := cm.Add(test.Labels[i], preds[i]); err != nil {
-			return nil, err
-		}
-	}
-	return cm, nil
 }

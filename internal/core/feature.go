@@ -53,11 +53,11 @@ const omegaClamp = 5.0
 //
 // The work runs on a pooled Pipeline and the result is deep-copied out, so
 // the returned Features is caller-owned; loops that can hold a Pipeline
-// should use (*Pipeline).extractFeatures via the IdentifyP family instead.
+// should identify through IdentifyDetailedP instead.
 func ExtractFeatures(s *csi.Session, cfg Config) (*Features, error) {
 	pl := GetPipeline()
 	defer PutPipeline(pl)
-	feats, err := pl.extractFeatures(s, cfg)
+	feats, err := pl.extractFeatures(s, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -34,16 +34,15 @@ type pathResult struct {
 }
 
 // identifyEveryPath runs s through every route to a verdict: the pipeline
-// entry points, the allocating wrappers, the batch (with clean neighbours
-// that must stay unaffected), the baseline-cached single and batch paths
-// (the hub's) with a cache warmed on clean, and the wimi facade.
+// entry point, uncached and through a baseline cache warmed on clean (the
+// hub's path), the allocating wrappers and the wimi facade.
 func identifyEveryPath(t *testing.T, id *core.Identifier, clean, s *csi.Session, cfg wimi.PipelineConfig) []pathResult {
 	t.Helper()
 	var out []pathResult
 	add := func(path string, det core.Detail, err error) {
 		out = append(out, pathResult{path, det, err})
 	}
-	det, err := id.IdentifyDetailedP(core.NewPipeline(), s)
+	det, err := id.IdentifyDetailedP(core.NewPipeline(), s, nil)
 	add("IdentifyDetailedP", det, err)
 	if d, err := id.IdentifyDetailed(s); err != nil {
 		add("IdentifyDetailed", core.Detail{}, err)
@@ -52,29 +51,15 @@ func identifyEveryPath(t *testing.T, id *core.Identifier, clean, s *csi.Session,
 	}
 	label, err := id.Identify(s)
 	add("Identify", core.Detail{Material: label, Confidence: 1}, err)
-	label, conf, err := id.IdentifyWithConfidence(s)
-	add("IdentifyWithConfidence", core.Detail{Material: label, Confidence: conf}, err)
 	nov, err := id.NoveltyScore(s)
 	add("NoveltyScore", core.Detail{Omega: nov}, err)
 
-	var bs core.BatchScratch
-	pls := []*core.Pipeline{core.NewPipeline(), core.NewPipeline(), core.NewPipeline()}
-	dets, errs := id.IdentifyDetailedBatchCachedP(&bs, pls, []*csi.Session{clean, s, clean}, nil)
-	for _, i := range []int{0, 2} {
-		if errs[i] != nil {
-			t.Fatalf("clean batch neighbour %d failed: %v", i, errs[i])
-		}
-	}
-	add("IdentifyDetailedBatchCachedP uncached", dets[1], errs[1])
-
 	bc := &core.BaselineCache{}
-	if _, err := id.IdentifyDetailedCachedP(core.NewPipeline(), clean, bc); err != nil {
+	if _, err := id.IdentifyDetailedP(core.NewPipeline(), clean, bc); err != nil {
 		t.Fatal(err)
 	}
-	det, err = id.IdentifyDetailedCachedP(core.NewPipeline(), s, bc)
-	add("IdentifyDetailedCachedP", det, err)
-	dets, errs = id.IdentifyDetailedBatchCachedP(&bs, pls[:1], []*csi.Session{s}, []*core.BaselineCache{bc})
-	add("IdentifyDetailedBatchCachedP", dets[0], errs[0])
+	det, err = id.IdentifyDetailedP(core.NewPipeline(), s, bc)
+	add("IdentifyDetailedP cached", det, err)
 
 	feats, err := wimi.ExtractFeatures(s, cfg)
 	det = core.Detail{Confidence: 1}
@@ -145,7 +130,7 @@ func TestNonFiniteCSINeverGetsAVerdict(t *testing.T) {
 		}
 	}
 	// NaN keeps the rejection it always had, word for word.
-	_, err = id.IdentifyDetailedP(core.NewPipeline(), withValue(clean, false, 3, 0, good[0], complex(nan, 0)))
+	_, err = id.IdentifyDetailedP(core.NewPipeline(), withValue(clean, false, 3, 0, good[0], complex(nan, 0)), nil)
 	if err == nil || !strings.Contains(err.Error(), "phase difference has no defined mean") {
 		t.Errorf("NaN at a used subcarrier: error %v, want the undefined-mean rejection", err)
 	}
@@ -168,9 +153,9 @@ const fuzzRecordLen = 12
 
 // FuzzIdentifyPipeline writes arbitrary float64 bit patterns (NaN, ±Inf,
 // subnormals, zeros, ±1e308, ...) into the CSI of a session and runs it
-// through the sequential and batch paths against a model trained once.
-// Every input must end in an error or in a finite Ω with a confidence in
-// [0, 1], and both paths must answer bit-identically.
+// uncached and through a baseline cache, cold and then warm, against a
+// model trained once. Every input must end in an error or in a finite Ω
+// with a confidence in [0, 1], and every path must answer bit-identically.
 func FuzzIdentifyPipeline(f *testing.F) {
 	id, sessions := guardIdentifier(f)
 	base := sessions[0]
@@ -197,21 +182,18 @@ func FuzzIdentifyPipeline(f *testing.F) {
 				row[sub] = complex(x, imag(row[sub]))
 			}
 		}
-		seq, seqErr := id.IdentifyDetailedP(core.NewPipeline(), &s)
-		var bs core.BatchScratch
-		dets, errs := id.IdentifyDetailedBatchCachedP(&bs, []*core.Pipeline{core.NewPipeline(), core.NewPipeline()}, []*csi.Session{base, &s}, nil)
-		if errs[0] != nil {
-			t.Fatalf("clean batch neighbour failed: %v", errs[0])
-		}
-		checkFinite(t, "sequential", pathResult{"IdentifyDetailedP", seq, seqErr})
-		if (seqErr == nil) != (errs[1] == nil) || (seqErr != nil && seqErr.Error() != errs[1].Error()) {
-			t.Fatalf("sequential error %v, batch error %v", seqErr, errs[1])
-		}
-		if seqErr == nil {
-			b := dets[1]
-			if b.Material != seq.Material || math.Float64bits(b.Omega) != math.Float64bits(seq.Omega) ||
-				math.Float64bits(b.Confidence) != math.Float64bits(seq.Confidence) {
-				t.Fatalf("batch %+v != sequential %+v", b, seq)
+		seq, seqErr := id.IdentifyDetailedP(core.NewPipeline(), &s, nil)
+		checkFinite(t, "uncached", pathResult{"IdentifyDetailedP", seq, seqErr})
+		var bc core.BaselineCache
+		pl := core.NewPipeline()
+		for _, pass := range []string{"cold", "warm"} {
+			det, err := id.IdentifyDetailedP(pl, &s, &bc)
+			if (seqErr == nil) != (err == nil) || (seqErr != nil && seqErr.Error() != err.Error()) {
+				t.Fatalf("uncached error %v, %s cache error %v", seqErr, pass, err)
+			}
+			if seqErr == nil && (det.Material != seq.Material || math.Float64bits(det.Omega) != math.Float64bits(seq.Omega) ||
+				math.Float64bits(det.Confidence) != math.Float64bits(seq.Confidence)) {
+				t.Fatalf("%s cache %+v != uncached %+v", pass, det, seq)
 			}
 		}
 	})

@@ -149,25 +149,17 @@ func TrainIdentifierOnFeatures(ds *classify.Dataset, cfg IdentifierConfig) (*Ide
 
 // Identify runs the pipeline on a session and returns the predicted
 // material name. It borrows scratch from the shared pipeline pool; loops
-// should hold their own Pipeline and call IdentifyP.
+// should hold their own Pipeline and call IdentifyDetailedP.
 func (id *Identifier) Identify(s *csi.Session) (string, error) {
 	pl := GetPipeline()
 	defer PutPipeline(pl)
-	return id.IdentifyP(pl, s)
+	det, err := id.IdentifyDetailedP(pl, s, nil)
+	return det.Material, err
 }
 
 // IdentifyFeatures classifies a pre-extracted feature vector.
 func (id *Identifier) IdentifyFeatures(vector []float64) string {
 	return id.model.Predict(id.scaler.TransformOne(vector))
-}
-
-// IdentifyWithConfidence returns the best-matching database material and a
-// confidence in [0, 1]. Confidence comes from the SVM's pairwise vote share
-// (kNN backends report 1: vote-share confidence is undefined there).
-func (id *Identifier) IdentifyWithConfidence(s *csi.Session) (label string, confidence float64, err error) {
-	pl := GetPipeline()
-	defer PutPipeline(pl)
-	return id.IdentifyWithConfidenceP(pl, s)
 }
 
 // Detail is one full identification outcome — the answer an online client
@@ -185,11 +177,11 @@ type Detail struct {
 
 // IdentifyDetailed runs the pipeline once and returns the prediction,
 // confidence and the measured Ω̄ together, so serving paths do not extract
-// features twice.
+// features twice. It borrows scratch from the shared pipeline pool.
 func (id *Identifier) IdentifyDetailed(s *csi.Session) (*Detail, error) {
 	pl := GetPipeline()
 	defer PutPipeline(pl)
-	det, err := id.IdentifyDetailedP(pl, s)
+	det, err := id.IdentifyDetailedP(pl, s, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +198,15 @@ func (id *Identifier) IdentifyDetailed(s *csi.Session) (*Detail, error) {
 func (id *Identifier) NoveltyScore(s *csi.Session) (float64, error) {
 	pl := GetPipeline()
 	defer PutPipeline(pl)
-	return id.NoveltyScoreP(pl, s)
+	feats, err := pl.extractFeatures(s, id.cfg.Pipeline, nil)
+	if err != nil {
+		return 0, err
+	}
+	if len(id.trainX) == 0 || id.nnScale <= 0 {
+		return 0, fmt.Errorf("core: identifier has no novelty calibration")
+	}
+	pl.scaled = id.scaler.TransformOneInto(pl.scaled, feats.Vector)
+	return nearestDistance(pl.scaled, id.trainX, -1) / id.nnScale, nil
 }
 
 // nearestDistance returns the Euclidean distance from x to the closest row

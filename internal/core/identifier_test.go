@@ -182,10 +182,11 @@ func TestIdentifyWithConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	label, conf, err := id.IdentifyWithConfidence(sessions[0])
+	det, err := id.IdentifyDetailed(sessions[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	label, conf := det.Material, det.Confidence
 	if label != labels[0] {
 		t.Errorf("label = %q, want %q", label, labels[0])
 	}

@@ -326,16 +326,12 @@ func (pl *Pipeline) extractPairFeature(s *csi.Session, pair AntennaPair, good []
 // scratch. The returned Features (and every slice it holds) aliases the
 // pipeline and is valid only until its next use; ExtractFeatures wraps this
 // with a deep copy for callers that keep the result.
-func (pl *Pipeline) extractFeatures(s *csi.Session, cfg Config) (*Features, error) {
-	return pl.extractFeaturesCached(s, cfg, nil)
-}
-
-// extractFeaturesCached is extractFeatures with an optional per-appearance
-// baseline-feature cache: the baseline side of Eqs. 7/18/19 reads through
-// bc, so a warm cache pays DSP only for the target window. Results are
-// bit-identical to the uncached path (every cached value is a pure function
-// of the keyed baseline).
-func (pl *Pipeline) extractFeaturesCached(s *csi.Session, cfg Config, bc *BaselineCache) (*Features, error) {
+//
+// bc, when non-nil, is a per-appearance baseline-feature cache: the
+// baseline side of Eqs. 7/18/19 reads through it, so a warm cache pays DSP
+// only for the target window. Results are bit-identical to the uncached
+// path (every cached value is a pure function of the keyed baseline).
+func (pl *Pipeline) extractFeatures(s *csi.Session, cfg Config, bc *BaselineCache) (*Features, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -439,42 +435,13 @@ func (id *Identifier) classifyScaled(pl *Pipeline, vector []float64) (string, fl
 	return id.model.Predict(pl.scaled), 1
 }
 
-// IdentifyP is Identify against caller-owned pipeline scratch: a warmed
-// pipeline classifies with zero steady-state allocation. Results are
-// bit-identical to Identify.
-func (id *Identifier) IdentifyP(pl *Pipeline, s *csi.Session) (string, error) {
-	feats, err := pl.extractFeatures(s, id.cfg.Pipeline)
-	if err != nil {
-		return "", err
-	}
-	label, _ := id.classifyScaled(pl, feats.Vector)
-	return label, nil
-}
-
-// IdentifyWithConfidenceP is IdentifyWithConfidence against caller-owned
-// pipeline scratch.
-func (id *Identifier) IdentifyWithConfidenceP(pl *Pipeline, s *csi.Session) (string, float64, error) {
-	feats, err := pl.extractFeatures(s, id.cfg.Pipeline)
-	if err != nil {
-		return "", 0, err
-	}
-	label, conf := id.classifyScaled(pl, feats.Vector)
-	return label, conf, nil
-}
-
 // IdentifyDetailedP is IdentifyDetailed against caller-owned pipeline
-// scratch, returning the Detail by value so the serving hot path allocates
-// nothing per request.
-func (id *Identifier) IdentifyDetailedP(pl *Pipeline, s *csi.Session) (Detail, error) {
-	return id.IdentifyDetailedCachedP(pl, s, nil)
-}
-
-// IdentifyDetailedCachedP is IdentifyDetailedP with an optional
-// per-appearance BaselineCache (nil behaves exactly like IdentifyDetailedP;
-// non-nil skips the baseline-side DSP on a warm cache). Bit-identical
-// either way.
-func (id *Identifier) IdentifyDetailedCachedP(pl *Pipeline, s *csi.Session, bc *BaselineCache) (Detail, error) {
-	feats, err := pl.extractFeaturesCached(s, id.cfg.Pipeline, bc)
+// scratch, returning the Detail by value so a warmed pipeline identifies
+// with zero steady-state allocation. bc, when non-nil, is the stream's
+// per-appearance BaselineCache: a warm cache skips the baseline-side DSP.
+// Results are bit-identical with and without one.
+func (id *Identifier) IdentifyDetailedP(pl *Pipeline, s *csi.Session, bc *BaselineCache) (Detail, error) {
+	feats, err := pl.extractFeatures(s, id.cfg.Pipeline, bc)
 	if err != nil {
 		return Detail{}, err
 	}
@@ -488,17 +455,4 @@ func (id *Identifier) IdentifyDetailedCachedP(pl *Pipeline, s *csi.Session, bc *
 	}
 	det.Material, det.Confidence = id.classifyScaled(pl, feats.Vector)
 	return det, nil
-}
-
-// NoveltyScoreP is NoveltyScore against caller-owned pipeline scratch.
-func (id *Identifier) NoveltyScoreP(pl *Pipeline, s *csi.Session) (float64, error) {
-	feats, err := pl.extractFeatures(s, id.cfg.Pipeline)
-	if err != nil {
-		return 0, err
-	}
-	if len(id.trainX) == 0 || id.nnScale <= 0 {
-		return 0, fmt.Errorf("core: identifier has no novelty calibration")
-	}
-	pl.scaled = id.scaler.TransformOneInto(pl.scaled, feats.Vector)
-	return nearestDistance(pl.scaled, id.trainX, -1) / id.nnScale, nil
 }

@@ -37,14 +37,14 @@ func BenchmarkIdentifyDetailedP(b *testing.B) {
 		b.Run(fmt.Sprintf("packets=%d", packets), func(b *testing.B) {
 			pl := core.NewPipeline()
 			for _, s := range sessions { // warm every growable buffer
-				if _, err := id.IdentifyDetailedP(pl, s); err != nil {
+				if _, err := id.IdentifyDetailedP(pl, s, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := id.IdentifyDetailedP(pl, sessions[i%len(sessions)]); err != nil {
+				if _, err := id.IdentifyDetailedP(pl, sessions[i%len(sessions)], nil); err != nil {
 					b.Fatal(err)
 				}
 			}

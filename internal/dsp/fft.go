@@ -8,7 +8,6 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -42,16 +41,6 @@ func IFFT(x []complex128) []complex128 {
 	p.Inverse(out, x)
 	ReleasePlan(p)
 	return out
-}
-
-// FFTReal transforms a real-valued signal, returning the full complex
-// spectrum of the same length.
-func FFTReal(x []float64) []complex128 {
-	cx := make([]complex128, len(x))
-	for i, v := range x {
-		cx[i] = complex(v, 0)
-	}
-	return FFT(cx)
 }
 
 // fftRadix2 performs an in-place iterative Cooley-Tukey FFT. len(x) must be
@@ -134,46 +123,4 @@ func Convolve(a, b []float64) []float64 {
 		out[i] = real(ca[i]) / float64(m)
 	}
 	return out
-}
-
-// CrossCorrelate returns the cross-correlation of a with b at every lag
-// from -(len(b)-1) to len(a)-1, i.e. Convolve(a, reverse(b)).
-func CrossCorrelate(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	rb := make([]float64, len(b))
-	for i, v := range b {
-		rb[len(b)-1-i] = v
-	}
-	return Convolve(a, rb)
-}
-
-// PearsonCorrelation returns the Pearson correlation coefficient of a and b,
-// which must have the same nonzero length; otherwise an error is returned.
-// Constant inputs (zero variance) also produce an error since the
-// coefficient is undefined.
-func PearsonCorrelation(a, b []float64) (float64, error) {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0, fmt.Errorf("dsp: correlation needs equal nonzero lengths, got %d and %d", len(a), len(b))
-	}
-	var ma, mb float64
-	for i := range a {
-		ma += a[i]
-		mb += b[i]
-	}
-	n := float64(len(a))
-	ma /= n
-	mb /= n
-	var cov, va, vb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 0, fmt.Errorf("dsp: correlation undefined for constant input")
-	}
-	return cov / math.Sqrt(va*vb), nil
 }

@@ -265,40 +265,6 @@ func sanitize(raw []float64, maxLen int) []float64 {
 	return out
 }
 
-func TestCrossCorrelatePeakAtLag(t *testing.T) {
-	// b is a delayed copy of a pattern inside a; the correlation peak should
-	// land at the alignment offset.
-	pattern := []float64{1, -2, 3, -1}
-	a := make([]float64, 20)
-	copy(a[7:], pattern)
-	r := CrossCorrelate(a, pattern)
-	// Peak index in full correlation = delay + len(b) - 1.
-	peak := mathx.ArgMax(r)
-	if peak != 7+len(pattern)-1 {
-		t.Errorf("correlation peak at %d, want %d", peak, 7+len(pattern)-1)
-	}
-}
-
-func TestPearsonCorrelation(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	r, err := PearsonCorrelation(a, b)
-	if err != nil || !mathx.AlmostEqual(r, 1, 1e-12) {
-		t.Errorf("perfect correlation = %v (err %v), want 1", r, err)
-	}
-	c := []float64{8, 6, 4, 2}
-	r, err = PearsonCorrelation(a, c)
-	if err != nil || !mathx.AlmostEqual(r, -1, 1e-12) {
-		t.Errorf("perfect anticorrelation = %v (err %v), want -1", r, err)
-	}
-	if _, err := PearsonCorrelation(a, []float64{1}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := PearsonCorrelation([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Error("constant input should error")
-	}
-}
-
 func TestWindowCoefficients(t *testing.T) {
 	for _, w := range []Window{WindowRect, WindowHann, WindowHamming, WindowBlackman} {
 		t.Run(w.String(), func(t *testing.T) {

@@ -1,12 +1,5 @@
 package dwt
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/mathx"
-)
-
 // DenoiseConfig parameterises the spatially-selective wavelet-correlation
 // denoiser of paper Sec. III-C.
 type DenoiseConfig struct {
@@ -75,43 +68,4 @@ func sumSquares(xs []float64) float64 {
 		s += x * x
 	}
 	return s
-}
-
-// UniversalThresholdDenoise is the classic baseline: soft-threshold every
-// detail coefficient at sigma·sqrt(2·ln n) (Donoho's universal threshold)
-// and reconstruct. Used by the Fig. 7 ablation to contrast with the
-// correlation method.
-func UniversalThresholdDenoise(x []float64, w *Wavelet, level int) ([]float64, error) {
-	if w == nil {
-		w = DB4
-	}
-	maxLevel := w.MaxLevel(len(x))
-	if maxLevel == 0 {
-		return append([]float64(nil), x...), nil
-	}
-	if level <= 0 {
-		level = maxLevel
-		if level > 3 {
-			level = 3
-		}
-	}
-	dec, err := w.Decompose(x, level)
-	if err != nil {
-		return nil, fmt.Errorf("dwt: universal threshold: %w", err)
-	}
-	sigma := mathx.MADStdDev(dec.Details[0])
-	thresh := sigma * math.Sqrt(2*math.Log(float64(len(x))))
-	for _, d := range dec.Details {
-		for i, v := range d {
-			switch {
-			case v > thresh:
-				d[i] = v - thresh
-			case v < -thresh:
-				d[i] = v + thresh
-			default:
-				d[i] = 0
-			}
-		}
-	}
-	return dec.Reconstruct()
 }

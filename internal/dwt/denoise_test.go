@@ -145,34 +145,6 @@ func TestCorrelationDenoiseConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestUniversalThresholdDenoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n := 512
-	clean := make([]float64, n)
-	dirty := make([]float64, n)
-	for i := range clean {
-		clean[i] = 3 * math.Sin(float64(i)*0.03)
-		dirty[i] = clean[i] + rng.NormFloat64()*0.5
-	}
-	out, err := UniversalThresholdDenoise(dirty, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := dsp.SNRdB(clean, dirty)
-	after := dsp.SNRdB(clean, out)
-	if after <= before {
-		t.Errorf("universal threshold did not improve Gaussian SNR: %.2f → %.2f dB", before, after)
-	}
-}
-
-func TestUniversalThresholdShortPassthrough(t *testing.T) {
-	x := []float64{1, 2}
-	out, err := UniversalThresholdDenoise(x, nil, 0)
-	if err != nil || len(out) != 2 {
-		t.Fatalf("out=%v err=%v", out, err)
-	}
-}
-
 func TestCorrelationDenoiseRemovesIsolatedImpulses(t *testing.T) {
 	// Constant signal with a handful of large spikes: after denoising the
 	// spike positions must be pulled most of the way back to the baseline.

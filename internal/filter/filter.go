@@ -1,7 +1,6 @@
 // Package filter implements the classical smoothing filters WiMi is
 // compared against in Fig. 7 — median, sliding-window (slide) and
-// Butterworth — plus the 3σ outlier rejection of Sec. III-C and a Hampel
-// filter used in failure-injection tests.
+// Butterworth — plus the 3σ outlier rejection of Sec. III-C.
 //
 // All filters are pure functions over float64 slices: inputs are never
 // mutated and outputs always have the input length.
@@ -141,38 +140,4 @@ func nearestInlierMean(x []float64, outliers []bool, i int) float64 {
 	// Summed in the same order mathx.Mean walked the old slice, so the
 	// replacement value is bit-identical.
 	return sum / float64(n)
-}
-
-// Hampel applies a Hampel identifier: samples deviating from the window
-// median by more than nsigma robust standard deviations are replaced by the
-// window median. window must be odd and >= 3.
-func Hampel(x []float64, window int, nsigma float64) ([]float64, error) {
-	if window < 3 || window%2 == 0 {
-		return nil, fmt.Errorf("filter: hampel window must be odd and >= 3, got %d", window)
-	}
-	if nsigma <= 0 {
-		return nil, fmt.Errorf("filter: hampel nsigma must be positive, got %v", nsigma)
-	}
-	out := append([]float64(nil), x...)
-	half := window / 2
-	scratch := make([]float64, window+1)
-	for i := range x {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(x) {
-			hi = len(x) - 1
-		}
-		win := x[lo : hi+1]
-		var med, sigma float64
-		med, sigma, scratch = mathx.MedianAndMADStdDevBuf(win, scratch)
-		if sigma == 0 {
-			continue
-		}
-		if d := x[i] - med; d > nsigma*sigma || d < -nsigma*sigma {
-			out[i] = med
-		}
-	}
-	return out, nil
 }

@@ -150,37 +150,3 @@ func TestRejectOutliersEmptyAndConstant(t *testing.T) {
 		}
 	}
 }
-
-func TestHampelReplacesImpulse(t *testing.T) {
-	x := []float64{1, 1.1, 0.9, 9, 1.05, 0.95, 1}
-	out, err := Hampel(x, 5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[3] > 1.2 {
-		t.Errorf("impulse survived Hampel: %v", out[3])
-	}
-}
-
-func TestHampelValidation(t *testing.T) {
-	if _, err := Hampel([]float64{1}, 4, 3); err == nil {
-		t.Error("even window should error")
-	}
-	if _, err := Hampel([]float64{1}, 5, 0); err == nil {
-		t.Error("nonpositive nsigma should error")
-	}
-}
-
-func TestHampelConstantRegion(t *testing.T) {
-	// Zero MAD regions must not divide by zero or modify anything.
-	x := []float64{2, 2, 2, 2, 2}
-	out, err := Hampel(x, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if out[i] != 2 {
-			t.Error("constant region modified")
-		}
-	}
-}

@@ -2,8 +2,8 @@
 // one hub multiplexes many concurrent CSI streams (TCP collectors or
 // in-process sources), runs per-stream CUSUM change-point detection and
 // sliding-window segmentation, and identifies every completed session on
-// pooled core.Pipelines — the paper's Fig. 1 vision at the scale the serving
-// tier already classifies at.
+// worker-owned core.Pipelines — the paper's Fig. 1 vision at the scale the
+// serving tier already classifies at.
 //
 // Backpressure is explicit end-to-end. Ingest never blocks: a completed
 // session lands in the stream's bounded pending ring, and when the ring is
@@ -54,13 +54,6 @@ type Config struct {
 	Segment monitor.SegmenterOptions
 	// Workers is the identification worker count (default GOMAXPROCS).
 	Workers int
-	// BatchMax bounds how many distinct dirty streams one worker drains
-	// into a single batched classification (core.IdentifyDetailedBatchCachedP:
-	// per-capture DSP + one blocked SVM predict). A free worker never
-	// waits for company: it classifies whatever is dirty, so batches form
-	// only from streams that went dirty while every worker was busy.
-	// 1 disables cross-stream batching (default 8).
-	BatchMax int
 	// PendingPerStream bounds each stream's ring of sessions awaiting
 	// identification; overflow sheds the oldest (default 2).
 	PendingPerStream int
@@ -80,9 +73,10 @@ type Config struct {
 	// identification — the hook tests use to wedge the classifier
 	// deterministically and watch the shed policy. Never set in production.
 	testHold func(streamID string)
-	// testVerdict, when non-nil, observes every delivered verdict in
-	// per-stream delivery order — the hook the batched-vs-sequential
-	// bit-identity test compares against. Never set in production.
+	// testVerdict, when non-nil, observes every verdict once the stream
+	// has folded it into its counters and events, in per-stream delivery
+	// order — the hook the hub-versus-sequential bit-identity test compares
+	// against. Never set in production.
 	testVerdict func(streamID string, det core.Detail, err error)
 }
 
@@ -104,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchMax == 0 {
-		c.BatchMax = 8
 	}
 	if c.PendingPerStream == 0 {
 		c.PendingPerStream = 2
@@ -198,8 +189,8 @@ func New(cfg Config) (*Hub, error) {
 	if err := cfg.Monitor.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Workers < 1 || cfg.PendingPerStream < 1 || cfg.ConfirmVerdicts < 1 || cfg.BatchMax < 1 {
-		return nil, fmt.Errorf("monitorhub: non-positive Workers/PendingPerStream/ConfirmVerdicts/BatchMax")
+	if cfg.Workers < 1 || cfg.PendingPerStream < 1 || cfg.ConfirmVerdicts < 1 {
+		return nil, fmt.Errorf("monitorhub: non-positive Workers/PendingPerStream/ConfirmVerdicts")
 	}
 	if cfg.ConfidenceFloor < 0 || cfg.ConfidenceFloor > 1 {
 		return nil, fmt.Errorf("monitorhub: ConfidenceFloor %v outside [0,1]", cfg.ConfidenceFloor)
@@ -235,7 +226,7 @@ func (h *Hub) newStream(id string) (*stream, error) {
 		id:      id,
 		hub:     h,
 		sg:      sg,
-		pending: make([]*csi.Session, h.cfg.PendingPerStream),
+		pending: make([]pendingSession, h.cfg.PendingPerStream),
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -404,9 +395,16 @@ func (h *Hub) enqueue(st *stream) {
 	h.qmu.Unlock()
 }
 
-// popLocked removes the FIFO head, or returns nil when the queue is empty.
-// Caller holds h.qmu.
-func (h *Hub) popLocked() *stream {
+// pop removes the FIFO head, blocking while the queue is empty and open. A
+// nil return means the queue is closed AND drained — the worker's exit
+// signal (drain still runs everything pending, including streams a worker
+// re-enqueues after the close).
+func (h *Hub) pop() *stream {
+	h.qmu.Lock()
+	defer h.qmu.Unlock()
+	for h.qhead == nil && !h.qclosed {
+		h.qcond.Wait()
+	}
 	st := h.qhead
 	if st == nil {
 		return nil
@@ -419,90 +417,40 @@ func (h *Hub) popLocked() *stream {
 	return st
 }
 
-// collectBatch pops up to BatchMax dirty streams into buf, blocking while
-// the queue is empty and open, and returns at once with whatever it took:
-// a lone stream's verdict never waits on a batch that will not fill. An
-// empty return means the queue is closed AND drained — the worker's exit
-// signal (drain still runs everything pending, including streams a worker
-// re-enqueues after the close).
-func (h *Hub) collectBatch(buf []*stream) []*stream {
-	h.qmu.Lock()
-	defer h.qmu.Unlock()
-	for h.qhead == nil && !h.qclosed {
-		h.qcond.Wait()
-	}
-	for len(buf) < h.cfg.BatchMax {
-		st := h.popLocked()
-		if st == nil {
-			break
-		}
-		buf = append(buf, st)
-	}
-	return buf
-}
-
-// worker drains the dirty-stream queue in cross-stream micro-batches: up to
-// BatchMax streams are collected, one pending session popped from each, and
-// the whole batch classified in a single core.IdentifyDetailedBatchCachedP
-// call (per-capture DSP against the stream's baseline cache + one blocked
-// SVM predict). Verdict delivery is per-stream via finish, which also
-// returns the session's storage to the segmenter ring and only then clears
-// the stream's in-flight claim — a stream stays out of every other worker's
-// reach from pop to verdict, so per-stream verdict order is emission order
-// at any worker count. Fairness is unchanged: one session per stream per
-// batch, streams with more pending work re-enter the FIFO after delivery.
+// worker drains the dirty-stream queue one stream per turn: it pops a
+// stream, takes its oldest pending session, identifies it on the worker's
+// own pipeline against the stream's baseline cache, and delivers the
+// verdict via finish. finish returns the session's storage to the
+// segmenter ring and only then clears the stream's in-flight claim — a
+// stream stays out of every other worker's reach from pop to verdict, so
+// per-stream verdict order is emission order at any worker count. A stream
+// with more pending work re-enters the FIFO behind everyone already there,
+// so a flooding stream gets one session per turn, round-robin.
 func (h *Hub) worker() {
 	defer h.workerWG.Done()
-	max := h.cfg.BatchMax
-	var (
-		batch    = make([]*stream, 0, max)
-		live     = make([]*stream, 0, max)
-		sessions = make([]*csi.Session, 0, max)
-		caches   = make([]*core.BaselineCache, 0, max)
-		pls      = make([]*core.Pipeline, 0, max)
-		bs       core.BatchScratch
-	)
+	pl := core.NewPipeline()
 	for {
-		batch = h.collectBatch(batch[:0])
-		if len(batch) == 0 {
+		st := h.pop()
+		if st == nil {
 			return
 		}
-		live, sessions, caches = live[:0], sessions[:0], caches[:0]
-		for _, st := range batch {
-			st.mu.Lock()
-			session := st.popPendingLocked()
-			if session == nil {
-				// Every pop is preceded by an enqueue with pending work and
-				// sessions only leave the ring through a worker or the shed
-				// policy, but be defensive: clear the claim so the stream
-				// can be re-enqueued.
-				st.queued = false
-				st.mu.Unlock()
-				continue
-			}
+		st.mu.Lock()
+		session, app := st.popPendingLocked()
+		if session == nil {
+			// Every pop is preceded by an enqueue with pending work and
+			// sessions only leave the ring through a worker or the shed
+			// policy, but be defensive: clear the claim so the stream can
+			// be re-enqueued.
+			st.queued = false
 			st.mu.Unlock()
-			if h.cfg.testHold != nil {
-				h.cfg.testHold(st.id)
-			}
-			live = append(live, st)
-			sessions = append(sessions, session)
-			caches = append(caches, &st.blc)
-		}
-		if len(live) == 0 {
 			continue
 		}
-		for len(pls) < len(live) {
-			pls = append(pls, core.GetPipeline())
+		st.mu.Unlock()
+		if h.cfg.testHold != nil {
+			h.cfg.testHold(st.id)
 		}
-		// Hub workers are the parallelism: each runs its batch serially.
-		dets, errs := h.cfg.Identifier.IdentifyDetailedBatchCachedP(&bs, pls[:len(live)], sessions, caches)
-		for i, st := range live {
-			st.finish(dets[i], errs[i], sessions[i])
-		}
-		for _, pl := range pls {
-			core.PutPipeline(pl)
-		}
-		pls = pls[:0]
+		det, err := h.cfg.Identifier.IdentifyDetailedP(pl, session, &st.blc)
+		st.finish(det, err, session, app)
 	}
 }
 

@@ -139,28 +139,28 @@ func TestVerdictHysteresis(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st.verdict("honey", 0.2, nil) // below floor: ignored by hysteresis
+	st.verdict("honey", 0.2, nil, 0) // below floor: ignored by hysteresis
 	if st.confirmed != "" || st.lowConf != 1 {
 		t.Fatalf("low-confidence verdict moved the machine: confirmed=%q lowConf=%d", st.confirmed, st.lowConf)
 	}
-	st.verdict("honey", 0.9, nil)
+	st.verdict("honey", 0.9, nil, 0)
 	if st.confirmed != "honey" {
 		t.Fatalf("first confident verdict should confirm, got %q", st.confirmed)
 	}
-	st.verdict("oil", 0.9, nil) // disagreement #1: candidate only
+	st.verdict("oil", 0.9, nil, 0) // disagreement #1: candidate only
 	if st.confirmed != "honey" || st.candidate != "oil" || st.candidateRun != 1 {
 		t.Fatalf("single disagreement swapped: confirmed=%q candidate=%q/%d", st.confirmed, st.candidate, st.candidateRun)
 	}
-	st.verdict("honey", 0.9, nil) // agreement collapses the candidate
+	st.verdict("honey", 0.9, nil, 0) // agreement collapses the candidate
 	if st.candidate != "" || st.candidateRun != 0 {
 		t.Fatalf("agreement should clear the candidate, got %q/%d", st.candidate, st.candidateRun)
 	}
-	st.verdict("oil", 0.9, nil)
-	st.verdict("oil", 0.9, nil) // ConfirmVerdicts(2) in a row: swap
+	st.verdict("oil", 0.9, nil, 0)
+	st.verdict("oil", 0.9, nil, 0) // ConfirmVerdicts(2) in a row: swap
 	if st.confirmed != "oil" || st.swaps != 1 {
 		t.Fatalf("two consecutive disagreements should swap: confirmed=%q swaps=%d", st.confirmed, st.swaps)
 	}
-	st.verdict("", 0, fmt.Errorf("degraded session")) // classifier failure
+	st.verdict("", 0, fmt.Errorf("degraded session"), 0) // classifier failure
 	if st.failed != 1 || st.confirmed != "oil" {
 		t.Fatalf("failed verdict mishandled: failed=%d confirmed=%q", st.failed, st.confirmed)
 	}
@@ -233,6 +233,95 @@ func TestShedOldestUnderBackpressure(t *testing.T) {
 	}
 }
 
+// TestVerdictAfterRemovalMovesOnlyCounters wedges the single worker while a
+// honey appearance comes and goes, so every verdict of that appearance
+// lands after its vessel-removed event. Those verdicts must be counted, but
+// they describe a vessel that has gone: no material-identified event, no
+// confirmed material, no last verdict. The next appearance, of another
+// liquid, must then read as an identification and not as a swap.
+func TestVerdictAfterRemovalMovesOnlyCounters(t *testing.T) {
+	defer testutil.LeakCheck(t, 3)()
+	release := make(chan struct{})
+	delivered := make(chan struct{}, 64)
+	cfg := testConfig(t)
+	cfg.Workers = 1
+	cfg.testHold = func(string) { <-release }
+	cfg.testVerdict = func(string, core.Detail, error) { delivered <- struct{}{} }
+	h, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	st, err := h.newStream("vat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := func() []string {
+		var out []string
+		for _, ev := range h.eventTail(0) {
+			kind := ev.Kind
+			if ev.Material != "" {
+				kind += ":" + ev.Material
+			}
+			out = append(out, kind)
+		}
+		return out
+	}
+
+	for _, pkt := range liquidStream(t, material.Honey, 40, 60, 7) {
+		if err := st.feed(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.mu.Lock()
+	waiting := st.sessions - st.shed
+	st.mu.Unlock()
+	if waiting == 0 {
+		t.Fatal("the honey appearance emitted no session; stimulus too weak")
+	}
+	close(release)
+	for i := uint64(0); i < waiting; i++ {
+		select {
+		case <-delivered:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of %d verdicts delivered", i, waiting)
+		}
+	}
+	if got := fmt.Sprint(kinds()); got != "[target-appeared vessel-removed]" {
+		t.Fatalf("events after the removed appearance's verdicts: %s", got)
+	}
+	st.mu.Lock()
+	confirmed, last, counted := st.confirmed, st.lastMaterial, st.identified+st.failed
+	st.mu.Unlock()
+	if confirmed != "" || last != "" {
+		t.Fatalf("verdicts of a removed vessel set confirmed %q, last verdict %q", confirmed, last)
+	}
+	if counted != waiting {
+		t.Fatalf("%d verdicts counted, %d delivered", counted, waiting)
+	}
+
+	// The second appearance stays present (no trailing quiet), so Close
+	// drains its verdicts while it is current.
+	water := liquidStream(t, material.PureWater, 40, 60, 11)
+	for _, pkt := range water[:100] {
+		if err := st.feed(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Close()
+	// Joining two simulations can add an appearance without a session
+	// (target-appeared, vessel-removed) before the real one.
+	var identified []string
+	for _, kind := range kinds()[2:] {
+		if kind != "target-appeared" && kind != "vessel-removed" {
+			identified = append(identified, kind)
+		}
+	}
+	if got := fmt.Sprint(identified); got != "[material-identified:pure-water]" {
+		t.Fatalf("the next appearance's verdict events are %s (whole log %v)", got, kinds())
+	}
+}
+
 // TestHubEndToEndSources registers in-process streams carrying different
 // liquids and waits for the fleet to confirm each one; then checks removal
 // events, epoch aggregation, and the HTTP surface.
@@ -249,9 +338,13 @@ func TestHubEndToEndSources(t *testing.T) {
 		"vat-water": material.PureWater,
 		"vat-soy":   material.Soy,
 	}
+	// The sources are paced so each vessel is still present when its
+	// verdicts land: a verdict that arrives after the removal moves only
+	// the counters.
+	const streamLen = 40 + 160 + 40
 	for id, liquid := range want {
 		capture := &csi.Capture{Packets: liquidStream(t, liquid, 40, 160, 11)}
-		if err := h.RegisterSource(id, transport.NewCaptureSource(capture), 0); err != nil {
+		if err := h.RegisterSource(id, transport.NewCaptureSource(capture), 2*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,14 +368,15 @@ func TestHubEndToEndSources(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// Streams end in a quiet stretch: removal events must arrive too.
+	// Streams end in a quiet stretch: removal events must arrive too, and
+	// every packet is fed before the epochs roll.
 	removalDeadline := time.Now().Add(10 * time.Second)
 	for {
 		kinds := map[string]int{}
 		for _, ev := range h.eventTail(0) {
 			kinds[ev.Kind]++
 		}
-		if kinds["vessel-removed"] == len(want) {
+		if kinds["vessel-removed"] == len(want) && h.Snapshot("", 0).Totals.Packets == uint64(len(want)*streamLen) {
 			break
 		}
 		if time.Now().After(removalDeadline) {
@@ -330,9 +424,22 @@ func TestHubEndToEndSources(t *testing.T) {
 	if len(body.Events) == 0 || len(body.Events) > 8 {
 		t.Fatalf("event tail wrong: %d events", len(body.Events))
 	}
+	// Every vessel has gone: nothing is confirmed any more, and the event
+	// log keeps each stream's identification.
 	for _, s := range body.Streams {
-		if s.Confirmed != want[s.ID] {
-			t.Errorf("stream %s confirmed %q, want %q", s.ID, s.Confirmed, want[s.ID])
+		if s.Confirmed != "" {
+			t.Errorf("stream %s still confirms %q after its vessel was removed", s.ID, s.Confirmed)
+		}
+	}
+	identified := map[string]string{}
+	for _, ev := range h.eventTail(0) {
+		if ev.Kind == "material-identified" {
+			identified[ev.Stream] = ev.Material
+		}
+	}
+	for id, liquid := range want {
+		if identified[id] != liquid {
+			t.Errorf("stream %s identified as %q, want %q", id, identified[id], liquid)
 		}
 	}
 

@@ -25,9 +25,15 @@ type stream struct {
 	// pendHead indexes the oldest entry; pushing onto a full ring
 	// overwrites (sheds) that oldest entry — freshness beats completeness
 	// for a live monitor, and ingest never blocks on the classifier.
-	pending  []*csi.Session
+	pending  []pendingSession
 	pendHead int
 	pendLen  int
+
+	// appearance counts the stream's ended appearances (TargetRemoved
+	// events). Every pending session carries the count at its emission, so
+	// a verdict that lands after its vessel was removed is recognised as
+	// stale.
+	appearance uint64
 
 	// queued is true while the stream sits in the hub's dirty FIFO OR has a
 	// session in flight on a worker (the in-flight claim): it is enqueued at
@@ -38,9 +44,9 @@ type stream struct {
 	next   *stream // intrusive dirty-FIFO link, guarded by hub.qmu
 
 	// blc caches the baseline-side DSP of the stream's current appearance.
-	// Touched only by the worker whose batch holds this stream's in-flight
-	// session; the claim serializes access, and the enqueue/pop lock chain
-	// orders one worker's writes before the next worker's reads.
+	// Touched only by the worker holding this stream's in-flight session;
+	// the claim serializes access, and the enqueue/pop lock chain orders
+	// one worker's writes before the next worker's reads.
 	blc core.BaselineCache
 
 	// Hysteresis state. confirmed is the material the hub currently
@@ -69,6 +75,13 @@ type stream struct {
 	lastErr string
 }
 
+// pendingSession is one session awaiting identification, tagged with the
+// stream's appearance count when the segmenter emitted it.
+type pendingSession struct {
+	session    *csi.Session
+	appearance uint64
+}
+
 // feed pushes one delivered packet through the stream's segmenter and, when
 // a session completes, into the pending ring. It is the OnPacket callback of
 // the stream's collector (and the source pump's delivery path): it must be
@@ -92,6 +105,7 @@ func (st *stream) feed(pkt csi.Packet) error {
 		case monitor.TargetAppeared:
 			emits = append(emits, Event{Stream: st.id, Kind: "target-appeared"})
 		case monitor.TargetRemoved:
+			st.appearance++
 			st.confirmed = ""
 			st.candidate = ""
 			st.candidateRun = 0
@@ -105,14 +119,14 @@ func (st *stream) feed(pkt csi.Packet) error {
 			// Shed the OLDEST pending session: advance the head over it so
 			// the newest work survives. Its storage goes straight back to
 			// the segmenter ring (st.mu is the ring's lock).
-			shed := st.pending[st.pendHead]
-			st.pending[st.pendHead] = nil
+			shed := st.pending[st.pendHead].session
+			st.pending[st.pendHead] = pendingSession{}
 			st.pendHead = (st.pendHead + 1) % n
 			st.pendLen--
 			st.shed++
 			shed.Release()
 		}
-		st.pending[(st.pendHead+st.pendLen)%n] = session
+		st.pending[(st.pendHead+st.pendLen)%n] = pendingSession{session, st.appearance}
 		st.pendLen++
 		if !st.queued {
 			st.queued = true
@@ -130,17 +144,17 @@ func (st *stream) feed(pkt csi.Packet) error {
 	return nil
 }
 
-// popPendingLocked removes and returns the oldest pending session, or nil.
-// Caller holds st.mu.
-func (st *stream) popPendingLocked() *csi.Session {
+// popPendingLocked removes and returns the oldest pending session with its
+// appearance tag, or a nil session. Caller holds st.mu.
+func (st *stream) popPendingLocked() (*csi.Session, uint64) {
 	if st.pendLen == 0 {
-		return nil
+		return nil, 0
 	}
-	s := st.pending[st.pendHead]
-	st.pending[st.pendHead] = nil
+	p := st.pending[st.pendHead]
+	st.pending[st.pendHead] = pendingSession{}
 	st.pendHead = (st.pendHead + 1) % len(st.pending)
 	st.pendLen--
-	return s
+	return p.session, p.appearance
 }
 
 // finish delivers one identification result: the hysteresis fold and events
@@ -149,11 +163,11 @@ func (st *stream) popPendingLocked() *csi.Session {
 // dirty FIFO if more sessions are pending. Only here does the in-flight
 // claim (queued) clear, so one stream's sessions are identified strictly in
 // emission order whatever the worker count.
-func (st *stream) finish(det core.Detail, err error, session *csi.Session) {
+func (st *stream) finish(det core.Detail, err error, session *csi.Session, appearance uint64) {
+	st.verdict(det.Material, det.Confidence, err, appearance)
 	if st.hub.cfg.testVerdict != nil {
 		st.hub.cfg.testVerdict(st.id, det, err)
 	}
-	st.verdict(det.Material, det.Confidence, err)
 	st.mu.Lock()
 	session.Release()
 	more := st.pendLen > 0
@@ -165,14 +179,22 @@ func (st *stream) finish(det core.Detail, err error, session *csi.Session) {
 }
 
 // verdict folds one identification result into the stream's hysteresis
-// machine and emits material-identified / material-swapped events.
-func (st *stream) verdict(label string, conf float64, err error) {
+// machine and emits material-identified / material-swapped events. A
+// verdict on a session of an appearance that has since ended moves only the
+// counters: it describes a vessel that is gone, so it may not set the last
+// verdict, confirm a material or build toward a swap.
+func (st *stream) verdict(label string, conf float64, err error, appearance uint64) {
 	var emit *Event
 
 	st.mu.Lock()
 	switch {
 	case err != nil:
 		st.failed++
+	case appearance != st.appearance:
+		st.identified++
+		if conf < st.hub.cfg.ConfidenceFloor {
+			st.lowConf++
+		}
 	case conf < st.hub.cfg.ConfidenceFloor:
 		// Recorded for /v1/fleet, but too weak to move the state machine.
 		st.identified++

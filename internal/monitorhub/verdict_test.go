@@ -11,9 +11,9 @@ import (
 	"repro/internal/testutil"
 )
 
-// batchTestSegment is the segmenter shape the bit-identity drill uses: a
+// verdictTestSegment is the segmenter shape the bit-identity drill uses: a
 // tight stride so every stream emits many sessions per appearance.
-var batchTestSegment = monitor.SegmenterOptions{Settle: 3, TargetLen: 15, BaselineLen: 15, Stride: 5}
+var verdictTestSegment = monitor.SegmenterOptions{Settle: 3, TargetLen: 15, BaselineLen: 15, Stride: 5}
 
 // verdictRec is one delivered identification result as the testVerdict hook
 // sees it.
@@ -22,9 +22,9 @@ type verdictRec struct {
 	err string
 }
 
-// TestBatchedVerdictsBitIdenticalSequential pins the tentpole's correctness
-// contract: whatever the worker count and batch size, the hub's
-// cross-stream batched, baseline-cached identification delivers — per
+// TestBatchedVerdictsBitIdenticalSequential pins the hub's correctness
+// contract: whatever the worker count, and with a worker held until every
+// packet is fed, the hub's baseline-cached identification delivers — per
 // stream, in emission order — exactly the verdict sequence a sequential,
 // uncached IdentifyDetailedP over the same segmented sessions produces.
 // Each stream carries TWO appearances of different liquids, so every
@@ -33,8 +33,8 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 	defer testutil.LeakCheck(t, 3)()
 	id := testIdentifier(t)
 
-	// Six streams, two appearances each, liquids rotating so neighbouring
-	// streams inside one classification batch carry different materials.
+	// Six streams, two appearances each, liquids rotating so streams
+	// identified back to back carry different materials.
 	const nStreams = 6
 	pkts := make([][]csi.Packet, nStreams)
 	names := make([]string, nStreams)
@@ -53,7 +53,7 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 	want := make([][]verdictRec, nStreams)
 	pl := core.NewPipeline()
 	for i := range pkts {
-		sg, err := monitor.NewSegmenterOpts(monitor.Config{BaselinePackets: 30}, 5.32e9, batchTestSegment)
+		sg, err := monitor.NewSegmenterOpts(monitor.Config{BaselinePackets: 30}, 5.32e9, verdictTestSegment)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 			if s == nil {
 				continue
 			}
-			det, derr := id.IdentifyDetailedP(pl, s)
+			det, derr := id.IdentifyDetailedP(pl, s, nil)
 			rec := verdictRec{det: det}
 			if derr != nil {
 				rec.err = derr.Error()
@@ -79,42 +79,30 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name              string
-		workers, batchMax int
-		held              bool
+		name    string
+		workers int
+		held    bool
 	}{
-		{"workers=1,batch=1,linger=false", 1, 1, false},
-		{"workers=1,batch=8,linger=false", 1, 8, false},
-		{"workers=4,batch=1,linger=false", 4, 1, false},
-		{"workers=4,batch=3,linger=false", 4, 3, false},
-		{"workers=4,batch=8,linger=false", 4, 8, false},
-		{"workers=1,batch=8,held", 1, 8, true},
+		{"workers=1", 1, false},
+		{"workers=4", 4, false},
+		{"held", 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
 			got := make(map[string][]verdictRec)
 			cfg := testConfig(t)
-			cfg.Segment = batchTestSegment
+			cfg.Segment = verdictTestSegment
 			cfg.Workers = tc.workers
-			cfg.BatchMax = tc.batchMax
 			// Deep pending rings: shedding would make the verdict sequence
 			// load-dependent, and this drill pins determinism.
 			cfg.PendingPerStream = 64
 			// The held arm wedges the single worker on its first stream
-			// until every packet is fed, so every stream is dirty when it
-			// resumes and cross-stream batches form by construction. With
-			// one worker, a batch of k is k holds before the next verdict.
+			// until every packet is fed, so every stream is dirty, and every
+			// appearance has ended, before the first verdict lands.
 			fed := make(chan struct{})
 			var holdOnce sync.Once
-			run, largest := 0, 0
 			if tc.held {
-				cfg.testHold = func(string) {
-					holdOnce.Do(func() { <-fed })
-					mu.Lock()
-					run++
-					largest = max(largest, run)
-					mu.Unlock()
-				}
+				cfg.testHold = func(string) { holdOnce.Do(func() { <-fed }) }
 			}
 			cfg.testVerdict = func(streamID string, det core.Detail, err error) {
 				rec := verdictRec{det: det}
@@ -123,7 +111,6 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 				}
 				mu.Lock()
 				got[streamID] = append(got[streamID], rec)
-				run = 0
 				mu.Unlock()
 			}
 			h, err := New(cfg)
@@ -154,9 +141,6 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 
 			mu.Lock()
 			defer mu.Unlock()
-			if tc.held && largest < 2 {
-				t.Fatalf("no cross-stream batch formed behind the held worker (largest %d)", largest)
-			}
 			for i := range sts {
 				g := got[names[i]]
 				if len(g) != len(want[i]) {
@@ -164,7 +148,7 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 				}
 				for j := range g {
 					if g[j] != want[i][j] {
-						t.Fatalf("stream %s verdict %d: batched %+v != sequential %+v",
+						t.Fatalf("stream %s verdict %d: hub %+v != sequential %+v",
 							names[i], j, g[j], want[i][j])
 					}
 				}

@@ -49,7 +49,7 @@ func TestAdmissionBoundsAndCounters(t *testing.T) {
 	want := make([]IdentifyResponse, len(fx.sessions))
 	for i, sess := range fx.sessions {
 		bodies[i] = encodeRequest(t, sess)
-		det, err := model.Identifier.IdentifyDetailedP(core.NewPipeline(), sess)
+		det, err := model.Identifier.IdentifyDetailedP(core.NewPipeline(), sess, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -303,7 +303,7 @@ func (s *Server) identify(ctx context.Context, m *registry.Model, session *csi.S
 		s.holdSlot()
 	}
 	pl := core.GetPipeline()
-	det, err := m.Identifier.IdentifyDetailedP(pl, session)
+	det, err := m.Identifier.IdentifyDetailedP(pl, session, nil)
 	core.PutPipeline(pl)
 	<-s.slots
 	// The clock decides too: when a parent context's timer fires, its Done

@@ -26,10 +26,10 @@ type Multiclass struct {
 	// training set the ensemble was fitted on, enabling Gram-row prediction.
 	pairIdx [][]int
 
-	// poolOnce/pool lazily build the deduplicated support-vector block
-	// PredictBatch evaluates against (batch.go). The ensemble is immutable
+	// poolOnce/pool lazily build the deduplicated support-vector pool every
+	// prediction evaluates against (pool.go). The ensemble is immutable
 	// after training/loading, so the pool is built at most once and shared
-	// by every concurrent batch.
+	// by every concurrent query.
 	poolOnce sync.Once
 	pool     *svPool
 }
@@ -161,12 +161,26 @@ func (mc *Multiclass) PredictWithConfidence(x []float64) (string, float64) {
 	return mc.PredictWithConfidenceScratch(x, nil)
 }
 
-// PredictScratch holds the per-prediction vote and margin buffers so a
+// PredictScratch holds the per-prediction buffers — the query's kernel row
+// over the support-vector pool and the vote and margin tallies — so a
 // caller classifying in a loop reuses them across calls. A scratch is not
 // safe for concurrent use; keep one per goroutine.
 type PredictScratch struct {
+	krow   []float64
 	votes  []int
 	margin []float64
+}
+
+// kernelRow returns a length-n buffer for the query's kernel values, drawn
+// from the scratch when non-nil and freshly allocated otherwise.
+func (sc *PredictScratch) kernelRow(n int) []float64 {
+	if sc == nil {
+		return make([]float64, n)
+	}
+	if cap(sc.krow) < n {
+		sc.krow = make([]float64, n)
+	}
+	return sc.krow[:n]
 }
 
 // tally returns zeroed vote and margin buffers of length k, drawn from the
@@ -191,16 +205,31 @@ func (sc *PredictScratch) tally(k int) ([]int, []float64) {
 	return votes, margin
 }
 
-// PredictWithConfidenceScratch is PredictWithConfidence drawing its election
-// buffers from sc (grown as needed). sc may be nil, which falls back to
-// fresh allocations; the result is identical either way.
+// PredictWithConfidenceScratch is PredictWithConfidence drawing its buffers
+// from sc (grown as needed). sc may be nil, which falls back to fresh
+// allocations; the result is identical either way.
+//
+// It evaluates the kernel once per row of the deduplicated support-vector
+// pool, then sums each machine's coefs[i]·K(sv_i, x) from its bias in
+// support-vector order, exactly as Binary.Decision does: the pool only
+// reuses kernel values, never re-derives them, so every decision value is
+// bit-identical to the machine's own Decision.
 func (mc *Multiclass) PredictWithConfidenceScratch(x []float64, sc *PredictScratch) (string, float64) {
 	if len(x) != mc.dim {
 		panic(fmt.Sprintf("svm: query has %d features, ensemble was trained on %d", len(x), mc.dim))
 	}
+	pool := mc.supportPool()
+	k := sc.kernelRow(len(pool.kernels))
+	for r, kern := range pool.kernels {
+		k[r] = kern.Eval(pool.flat[r*mc.dim:(r+1)*mc.dim], x)
+	}
 	votes, margin := sc.tally(len(mc.classes))
-	for p := range mc.models {
-		mc.score(votes, margin, p, mc.models[p].Decision(x))
+	for p, m := range mc.models {
+		s := m.bias
+		for i, r := range pool.svRow[p] {
+			s += m.coefs[i] * k[r]
+		}
+		mc.score(votes, margin, p, s)
 	}
 	return mc.electWinner(votes, margin)
 }
