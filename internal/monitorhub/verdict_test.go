@@ -23,12 +23,18 @@ type verdictRec struct {
 }
 
 // TestBatchedVerdictsBitIdenticalSequential pins the hub's correctness
-// contract: whatever the worker count, and with a worker held until every
-// packet is fed, the hub's baseline-cached identification delivers — per
-// stream, in emission order — exactly the verdict sequence a sequential,
-// uncached IdentifyDetailedP over the same segmented sessions produces.
-// Each stream carries TWO appearances of different liquids, so every
-// per-stream BaselineCache crosses an invalidation mid-run.
+// contract: whatever the worker count and the feed pattern, and with a
+// worker held until every packet is fed, the hub's baseline-cached
+// identification delivers — per stream, in emission order — exactly the
+// verdict sequence a sequential, uncached IdentifyDetailedP over the same
+// segmented sessions produces. Each stream carries TWO appearances of
+// different liquids, so every per-stream BaselineCache crosses an
+// invalidation mid-run.
+//
+// The arm names keep the form they had when the hub batched streams. The
+// hub has no batch size or linger any more, so `batch` now sets the feed
+// burst — how many consecutive packets one stream takes before the feeder
+// moves to the next — and `linger=false` names no setting.
 func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 	defer testutil.LeakCheck(t, 3)()
 	id := testIdentifier(t)
@@ -79,13 +85,16 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name    string
-		workers int
-		held    bool
+		name           string
+		workers, burst int
+		held           bool
 	}{
-		{"workers=1", 1, false},
-		{"workers=4", 4, false},
-		{"held", 1, true},
+		{"workers=1,batch=1,linger=false", 1, 1, false},
+		{"workers=1,batch=8,linger=false", 1, 8, false},
+		{"workers=4,batch=1,linger=false", 4, 1, false},
+		{"workers=4,batch=3,linger=false", 4, 3, false},
+		{"workers=4,batch=8,linger=false", 4, 8, false},
+		{"workers=1,batch=8,held", 1, 8, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
@@ -125,14 +134,19 @@ func TestBatchedVerdictsBitIdenticalSequential(t *testing.T) {
 				}
 				sts[i] = st
 			}
-			// Interleave ingest round-robin packet-by-packet: different
-			// streams go dirty together, so free workers race the feeder
-			// for whatever is dirty.
-			for p := 0; p < len(pkts[0]); p++ {
+			// Interleave ingest round-robin, one burst of packets per
+			// stream per turn: different streams go dirty together, so free
+			// workers race the feeder for whatever is dirty, and a burst
+			// longer than the stride lets one stream emit a session while
+			// the others wait.
+			for p := 0; p < len(pkts[0]); p += tc.burst {
+				end := min(p+tc.burst, len(pkts[0]))
 				for i, st := range sts {
-					if err := st.feed(pkts[i][p]); err != nil {
-						close(fed)
-						t.Fatal(err)
+					for _, pkt := range pkts[i][p:end] {
+						if err := st.feed(pkt); err != nil {
+							close(fed)
+							t.Fatal(err)
+						}
 					}
 				}
 			}

@@ -47,17 +47,24 @@ func checkMatchesDecision(t *testing.T, what string, mc *Multiclass, queries [][
 	}
 }
 
-// TestPredictPooledMatchesDecision pins the prediction contract: the pooled
-// single-query path equals an election over each machine's own
-// Binary.Decision, margins bit for bit, for every kernel, at any training
-// worker count, after a save and reload, and for an ensemble whose machines
-// use different kernels.
-func TestPredictPooledMatchesDecision(t *testing.T) {
+// predictQueries is the training set and query batch the
+// prediction-contract tests share: 4 classes × 12 samples, 16 held-out queries plus 4 training
+// samples (K(sv, sv) is the kernel's extreme).
+func predictQueries() (x [][]float64, labels []string, queries [][]float64) {
 	classes := []string{"a", "b", "c", "d"}
-	x, labels := clusteredData(12, classes, 6, 17)
-	queries, _ := clusteredData(4, classes, 6, 99)
-	// Training samples as queries too: K(sv, sv) is the kernel's extreme.
-	queries = append(queries, x[:4]...)
+	x, labels = clusteredData(12, classes, 6, 17)
+	queries, _ = clusteredData(4, classes, 6, 99)
+	return x, labels, append(queries, x[:4]...)
+}
+
+// TestPredictBatchBitIdenticalSequential pins the prediction contract: a
+// batch of queries run through the pooled path, one after another with one
+// reused scratch, equals an election over each machine's own
+// Binary.Decision, margins bit for bit, for every kernel, at any training
+// worker count, and after a save and reload. The name dates from
+// Multiclass.PredictBatch; the pooled single-query path is what remains.
+func TestPredictBatchBitIdenticalSequential(t *testing.T) {
+	x, labels, queries := predictQueries()
 
 	for _, kernel := range []Kernel{RBFKernel{Gamma: 0.5}, LinearKernel{}, PolyKernel{Degree: 3, Coef: 1}} {
 		for _, workers := range []int{1, 4} {
@@ -80,9 +87,15 @@ func TestPredictPooledMatchesDecision(t *testing.T) {
 			checkMatchesDecision(t, kernel.Name()+" reloaded", loaded, queries)
 		}
 	}
+}
 
-	// A mixed-kernel ensemble is only constructible by hand; the pool keys
-	// its rows by kernel, so it takes the same path.
+// TestPredictBatchMixedKernelFallback forces a mixed-kernel ensemble (only
+// constructible by hand). Such an ensemble once fell back to per-machine
+// evaluation; the pool now keys its rows by kernel, so it takes the pooled
+// path and must predict exactly what that fallback did: the per-machine
+// Decision election.
+func TestPredictBatchMixedKernelFallback(t *testing.T) {
+	x, labels, queries := predictQueries()
 	mc, err := TrainMulticlass(x, labels, RBFKernel{Gamma: 0.5}, Config{C: 10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
