@@ -1,4 +1,4 @@
-.PHONY: check fmt build vet test race race-stress bench bench-allocs bench-compare bench-build microbench serve-smoke cluster-smoke hub-smoke svm-determinism alloc-guard profile fuzz
+.PHONY: check fmt build vet test race race-stress bench bench-allocs bench-compare bench-build bench-pairs microbench serve-smoke cluster-smoke hub-smoke svm-determinism alloc-guard profile fuzz
 
 # The full pre-merge gate: formatting, vet, build, the SVM determinism
 # contract, the test suite under the race detector (the
@@ -130,6 +130,37 @@ NEW ?= $(word 1,$(shell ls -t BENCH_*.json 2>/dev/null))
 bench-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "need two BENCH_*.json records (or set OLD= and NEW=)"; exit 2; }
 	go run ./cmd/benchdiff $(OLD) $(NEW)
+
+# bench-pairs runs the whole-journey benchmark's WORKLOAD in PAIRS
+# alternated pairs of runs of BASE (any git revision) and of this checkout,
+# on seeds SEED, SEED+1, ...: BASE is checked out with git worktree under
+# .bench_build/, each pair swaps which side runs first, and each run's
+# last line (its metrics) is printed. Each side's result files are
+# collected into a directory of its own under .bench_build/pairs/, then
+# `run.sh compare` prints the verdicts (BASE is side A) and the worktree
+# is removed. A run that is not correct is reported and kept. Offline.
+BASE ?= HEAD
+WORKLOAD ?= hub-fleet
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	@set -eu; root=$$PWD; wt=$$root/.bench_build/base-worktree; out=$$root/.bench_build/pairs; \
+	git worktree remove --force "$$wt" 2>/dev/null || true; \
+	git worktree add --detach "$$wt" "$(BASE)" >/dev/null; \
+	trap 'git -C "$$root" worktree remove --force "$$wt"' EXIT; \
+	rm -rf "$$out"; mkdir -p "$$out/base" "$$out/change"; \
+	run() { \
+		log=$$out/$$1/seed$$3.log; \
+		(cd "$$2" && bash benchmark/run.sh -workload $(WORKLOAD) -seed $$3 >"$$log" 2>"$$log.err") || echo "$$1 seed $$3: run not correct (see $$log.err)"; \
+		cp "$$2/.bench_build/results/$(WORKLOAD)-seed$$3.json" "$$out/$$1/"; \
+		echo "pair $$4 $$1 seed $$3: $$(tail -n 1 "$$log")"; \
+	}; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		seed=$$(($(SEED) + i - 1)); \
+		if [ $$((i % 2)) -eq 1 ]; then run base "$$wt" $$seed $$i; run change "$$root" $$seed $$i; \
+		else run change "$$root" $$seed $$i; run base "$$wt" $$seed $$i; fi; \
+	done; \
+	bash benchmark/run.sh compare "$$out/base" "$$out/change"
 
 # microbench runs the in-tree go test benchmarks (allocation counts included).
 microbench:

@@ -83,55 +83,57 @@ func (bc *BaselineCache) slot(pair AntennaPair, sub int) int {
 	return (pair.A*bc.numAnt+pair.B)*csi.NumSubcarriers + sub
 }
 
+// covers reports whether the cache holds both baseline values of every
+// (pair, subcarrier), so extraction need not stage the baseline. A nil
+// cache covers nothing.
+func (bc *BaselineCache) covers(pairs []AntennaPair, good []int) bool {
+	if bc == nil {
+		return false
+	}
+	for _, pair := range pairs {
+		for _, sub := range good {
+			if bc.has[bc.slot(pair, sub)] != blHasPhase|blHasRatio {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// The getters miss and the setters do nothing on a nil cache, so the
+// uncached extraction runs the same code. Errors are never cached: a
+// failing baseline recomputes (and fails identically) on every attempt.
+
 func (bc *BaselineCache) getPhase(pair AntennaPair, sub int) (float64, bool) {
+	if bc == nil {
+		return 0, false
+	}
 	i := bc.slot(pair, sub)
 	return bc.phase[i], bc.has[i]&blHasPhase != 0
 }
 
 func (bc *BaselineCache) putPhase(pair AntennaPair, sub int, v float64) {
+	if bc == nil {
+		return
+	}
 	i := bc.slot(pair, sub)
 	bc.phase[i] = v
 	bc.has[i] |= blHasPhase
 }
 
 func (bc *BaselineCache) getRatio(pair AntennaPair, sub int) (float64, bool) {
+	if bc == nil {
+		return 0, false
+	}
 	i := bc.slot(pair, sub)
 	return bc.ratio[i], bc.has[i]&blHasRatio != 0
 }
 
 func (bc *BaselineCache) putRatio(pair AntennaPair, sub int, v float64) {
+	if bc == nil {
+		return
+	}
 	i := bc.slot(pair, sub)
 	bc.ratio[i] = v
 	bc.has[i] |= blHasRatio
-}
-
-// baselineMeanPhaseDiff is meanPhaseDiff over the session baseline, read
-// through the cache when one is attached. Errors are never cached: a
-// failing baseline recomputes (and fails identically) on every attempt.
-func (pl *Pipeline) baselineMeanPhaseDiff(s *csi.Session, pair AntennaPair, sub int, bc *BaselineCache) (float64, error) {
-	if bc != nil {
-		if v, ok := bc.getPhase(pair, sub); ok {
-			return v, nil
-		}
-	}
-	v, err := meanPhaseDiff(&s.Baseline, pair, sub)
-	if err == nil && bc != nil {
-		bc.putPhase(pair, sub, v)
-	}
-	return v, err
-}
-
-// baselineAmplitudeRatio is amplitudeRatio over the session baseline,
-// read through the cache when one is attached.
-func (pl *Pipeline) baselineAmplitudeRatio(s *csi.Session, pair AntennaPair, sub int, cfg Config, bc *BaselineCache) (float64, error) {
-	if bc != nil {
-		if v, ok := bc.getRatio(pair, sub); ok {
-			return v, nil
-		}
-	}
-	v, err := pl.amplitudeRatio(&s.Baseline, pair, sub, cfg, 1)
-	if err == nil && bc != nil {
-		bc.putRatio(pair, sub, v)
-	}
-	return v, err
 }

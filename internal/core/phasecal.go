@@ -47,16 +47,12 @@ func phaseDiffVariance(c *csi.Capture, pair AntennaPair, sub int) (float64, erro
 	return 1 - math.Hypot(x, y)/float64(c.Len()), nil
 }
 
-// meanPhaseDiff is the circular-mean inter-antenna phase difference at one
-// subcarrier over a capture, the argument of its resultant — the ΔZ
+// resultantMean is the circular-mean inter-antenna phase difference at one
+// subcarrier, the argument of its resultant (x, y) over a capture — the ΔZ
 // averaging of Eq. 6 ("removed by averaging it over a time window"). A
 // resultant too short to define a direction, or a NaN one (a non-finite
 // CSI value), is an error.
-func meanPhaseDiff(c *csi.Capture, pair AntennaPair, sub int) (float64, error) {
-	x, y, err := c.PhaseDiffResultant(pair.A, pair.B, sub)
-	if err != nil {
-		return 0, err
-	}
+func resultantMean(x, y float64, sub int) (float64, error) {
 	m := math.Atan2(y, x)
 	if math.Hypot(x, y) < 1e-12 || m != m {
 		return 0, fmt.Errorf("core: phase difference has no defined mean at subcarrier %d", sub)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"sort"
 	"sync"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // Pipeline owns every piece of scratch one end-to-end identification needs —
-// amplitude series, 3σ outlier buffers, the wavelet workspace,
+// the staged captures, 3σ outlier buffers, the wavelet workspace,
 // subcarrier-selection variance vectors, the feature backing, the scaled
 // classifier input and the SVM vote buffers — so a warmed pipeline runs a
 // whole session from CSI matrices to material verdict without a single heap
@@ -32,28 +33,18 @@ type Pipeline struct {
 	dws  *dwt.Workspace
 	dcfg dwt.DenoiseConfig
 
-	// Per-series scratch of the denoising cascade (Sec. III-C).
-	ampA, ampB []float64 // raw amplitude series of the pair
-	clean      []float64 // 3σ-cleaned series (shared by both antennas)
-	mask       []bool    // 3σ outlier mask
-	denA, denB []float64 // wavelet-denoised series
-	ratios     []float64 // per-packet amplitude ratios
-	medBuf     []float64 // Median scratch
+	// The session's two capture sides, each staged in one pass over its
+	// packets, and the antennas the pairs use (ascending; slotOf maps an
+	// antenna to its index here, the column slot of a stage).
+	tgt, base captureStage
+	antennas  []int
+	slotOf    []int
 
-	// Denoised-amplitude memo, valid for one extractFeatures call: every
-	// pair containing an antenna needs the same denoised (antenna,
-	// subcarrier) series, so it is computed once per session instead of
-	// once per pair. Entries are fixed-stride windows of two flat backings
-	// (one per capture side), so a cold pipeline pays a handful of
-	// allocations, not one per entry. Valid-flag layout
-	// (side*numAnt+ant)*NumSubcarriers+sub with side 0 = target, 1 =
-	// baseline.
-	ampMemoOK      []bool
-	ampMemoTgt     []float64
-	ampMemoBase    []float64
-	ampMemoAnt     int
-	ampMemoTgtLen  int
-	ampMemoBaseLen int
+	// Per-series scratch of the denoising cascade (Sec. III-C).
+	clean  []float64 // 3σ-cleaned series
+	mask   []bool    // 3σ outlier mask
+	ratios []float64 // per-packet amplitude ratios
+	medBuf []float64 // Median scratch
 
 	// Per-pair feature scratch (Eqs. 18-21).
 	thetas, psis []float64
@@ -71,6 +62,36 @@ type Pipeline struct {
 	feats      Features
 	scaled     []float64
 	svmScratch svm.PredictScratch
+}
+
+// captureStage is one capture side of a session read in one pass over its
+// packets: the |H| series of every (antenna a pair uses, good subcarrier)
+// as a contiguous column, denoised in place, and the phase-difference
+// resultant of every (pair, good subcarrier).
+type captureStage struct {
+	n      int       // packets: the length of every column
+	amp    []float64 // column slot·len(good)+g spans [col·n, (col+1)·n)
+	rx, ry []float64 // resultant of pair p at good subcarrier g: p·len(good)+g
+	short  []bool    // per pair: some packet lacks one of the pair's antennas
+}
+
+// column returns the |H| column of antenna slot at good subcarrier g.
+func (st *captureStage) column(slot, g, numGood int) []float64 {
+	i := (slot*numGood + g) * st.n
+	return st.amp[i : i+st.n : i+st.n]
+}
+
+// meanPhaseDiff is the circular-mean phase difference of pair p (the p-th
+// of the staged pairs) at good subcarrier g. c is the staged capture; it
+// is read again only to word the error of a short pair, which
+// PhaseDiffResultant reports for the first packet lacking an antenna.
+func (st *captureStage) meanPhaseDiff(c *csi.Capture, p int, pair AntennaPair, g int, good []int) (float64, error) {
+	if st.short[p] {
+		_, _, err := c.PhaseDiffResultant(pair.A, pair.B, good[g])
+		return 0, err
+	}
+	i := p*len(good) + g
+	return resultantMean(st.rx[i], st.ry[i], good[g])
 }
 
 // NewPipeline returns an empty pipeline; buffers grow on first use and are
@@ -103,121 +124,102 @@ func growFloats(buf []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// denoiseAmplitude is DenoiseAmplitudeSeries against pipeline scratch: the
-// cleaned/mask/wavelet buffers are reused and the result lands in dst
-// (grown as needed and returned). dst must not alias series.
-func (pl *Pipeline) denoiseAmplitude(dst, series []float64, cfg Config) ([]float64, error) {
-	if len(series) == 0 {
-		return nil, fmt.Errorf("core: empty amplitude series")
+// useAntennas lists the antennas the pairs use, ascending, and maps each to
+// its column slot.
+func (pl *Pipeline) useAntennas(pairs []AntennaPair, numAnt int) {
+	pl.antennas = pl.antennas[:0]
+	if cap(pl.slotOf) < numAnt {
+		pl.slotOf = make([]int, numAnt)
+	}
+	pl.slotOf = pl.slotOf[:numAnt]
+	for a := 0; a < numAnt; a++ {
+		for _, p := range pairs {
+			if p.A == a || p.B == a {
+				pl.slotOf[a] = len(pl.antennas)
+				pl.antennas = append(pl.antennas, a)
+				break
+			}
+		}
+	}
+}
+
+// stage reads capture c into st in one pass over its packets, for the
+// pairs and good subcarriers of this extraction, then denoises every
+// column in place. Each series gets the operations, in the order, that a
+// walk over that series alone would give it: |H| is cmplx.Abs, and each
+// resultant sums PhaseDiffPhasor terms in packet order. A packet without
+// one of a pair's antennas marks the pair short, and the cells of the
+// antennas it lacks keep whatever they held: every pair using such an
+// antenna is short, and a short pair's phase step reports the error before
+// its ratio reads a column.
+func (pl *Pipeline) stage(st *captureStage, c *csi.Capture, pairs []AntennaPair, good []int, cfg Config) error {
+	n, ng := c.Len(), len(good)
+	st.n = n
+	st.amp = growFloats(st.amp, len(pl.antennas)*ng*n)
+	st.rx = growFloats(st.rx, len(pairs)*ng)
+	st.ry = growFloats(st.ry, len(pairs)*ng)
+	for i := range st.rx {
+		st.rx[i], st.ry[i] = 0, 0
+	}
+	if cap(st.short) < len(pairs) {
+		st.short = make([]bool, len(pairs))
+	}
+	st.short = st.short[:len(pairs)]
+	for p := range st.short {
+		st.short[p] = false
+	}
+	for i := range c.Packets {
+		v := c.Packets[i].CSI.Values
+		for slot, a := range pl.antennas {
+			if a >= len(v) {
+				continue
+			}
+			cells, row := st.amp[slot*ng*n+i:], v[a]
+			for g, sub := range good {
+				cells[g*n] = cmplx.Abs(row[sub])
+			}
+		}
+		for p, pair := range pairs {
+			if pair.A >= len(v) || pair.B >= len(v) {
+				st.short[p] = true
+				continue
+			}
+			ra, rb := v[pair.A], v[pair.B]
+			rx, ry := st.rx[p*ng:(p+1)*ng], st.ry[p*ng:(p+1)*ng]
+			for g, sub := range good {
+				x, y := csi.PhaseDiffPhasor(ra[sub], rb[sub])
+				rx[g] += x
+				ry[g] += y
+			}
+		}
 	}
 	if !cfg.DenoiseAmplitude {
-		dst = growFloats(dst, len(series))
-		copy(dst, series)
-		return dst, nil
+		return nil
 	}
-	pl.clean, pl.mask = filter.RejectOutliers3SigmaInto(pl.clean, pl.mask, series)
 	w := cfg.Wavelet
 	if w == nil {
 		w = dwt.DB4
 	}
 	pl.dcfg = dwt.DenoiseConfig{Wavelet: w}
-	out, err := pl.dws.DenoiseInto(dst, pl.clean, &pl.dcfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: wavelet denoise: %w", err)
+	for col := 0; col < len(pl.antennas)*ng; col++ {
+		series := st.amp[col*n : (col+1)*n]
+		// The 3σ step writes pl.clean, so the wavelet step reads the
+		// cleaned series while it overwrites the column.
+		pl.clean, pl.mask = filter.RejectOutliers3SigmaInto(pl.clean, pl.mask, series)
+		if _, err := pl.dws.DenoiseInto(series, pl.clean, &pl.dcfg); err != nil {
+			return fmt.Errorf("core: wavelet denoise: %w", err)
+		}
 	}
-	return out, nil
+	return nil
 }
 
-// resetAmpMemo sizes and invalidates the denoised-amplitude memo for one
-// session. Backings are retained across calls and grow to the high-water
-// mark.
-func (pl *Pipeline) resetAmpMemo(numAnt, tgtLen, baseLen int) {
-	n := 2 * numAnt * csi.NumSubcarriers
-	if cap(pl.ampMemoOK) < n {
-		pl.ampMemoOK = make([]bool, n)
-	} else {
-		pl.ampMemoOK = pl.ampMemoOK[:n]
-		for i := range pl.ampMemoOK {
-			pl.ampMemoOK[i] = false
-		}
-	}
-	pl.ampMemoTgt = growFloats(pl.ampMemoTgt, numAnt*csi.NumSubcarriers*tgtLen)
-	pl.ampMemoBase = growFloats(pl.ampMemoBase, numAnt*csi.NumSubcarriers*baseLen)
-	pl.ampMemoAnt = numAnt
-	pl.ampMemoTgtLen = tgtLen
-	pl.ampMemoBaseLen = baseLen
-}
-
-// denoisedAmpSeries extracts and denoises one antenna's amplitude series at
-// one subcarrier, memoised per (side, antenna, subcarrier) within the
-// current extraction. Entries are disjoint fixed-stride windows of the
-// side's flat backing, so the two sides of a ratio never alias. The
-// returned slice is valid until the next extraction resets the memo.
-func (pl *Pipeline) denoisedAmpSeries(c *csi.Capture, ant, sub, side int, cfg Config) ([]float64, error) {
-	i := (side*pl.ampMemoAnt+ant)*csi.NumSubcarriers + sub
-	e := ant*csi.NumSubcarriers + sub
-	flat, n := pl.ampMemoTgt, pl.ampMemoTgtLen
-	if side == 1 {
-		flat, n = pl.ampMemoBase, pl.ampMemoBaseLen
-	}
-	buf := flat[e*n : (e+1)*n : (e+1)*n]
-	if pl.ampMemoOK[i] {
-		return buf, nil
-	}
-	var err error
-	pl.ampA, err = c.AmplitudeSeriesInto(pl.ampA, ant, sub)
-	if err != nil {
-		return nil, fmt.Errorf("core: antenna %d: %w", ant, err)
-	}
-	out, err := pl.denoiseAmplitude(buf[:0], pl.ampA, cfg)
-	if err != nil {
-		return nil, err
-	}
-	copy(buf, out)
-	pl.ampMemoOK[i] = true
-	return buf, nil
-}
-
-// amplitudeRatio extracts the denoised mean inter-antenna amplitude ratio
-// at one subcarrier over a capture, on pipeline scratch: both antennas'
-// series are cleaned independently, divided per packet, and averaged —
-// the stable amplitude quantity of Fig. 8. The median, not the mean,
-// averages the denoised ratios: an impulse surviving the wavelet filter
-// lands in only a packet or two and the median ignores it; the raw arm of
-// the Fig. 14 ablation averages plainly. side selects the
-// denoised-amplitude memo slot (0 target, 1 baseline); side -1 bypasses
-// the memo for callers outside a session extraction (public wrappers).
-func (pl *Pipeline) amplitudeRatio(c *csi.Capture, pair AntennaPair, sub int, cfg Config, side int) (float64, error) {
-	var denA, denB []float64
-	var err error
-	if side < 0 {
-		pl.ampA, err = c.AmplitudeSeriesInto(pl.ampA, pair.A, sub)
-		if err != nil {
-			return 0, fmt.Errorf("core: antenna %d: %w", pair.A, err)
-		}
-		pl.ampB, err = c.AmplitudeSeriesInto(pl.ampB, pair.B, sub)
-		if err != nil {
-			return 0, fmt.Errorf("core: antenna %d: %w", pair.B, err)
-		}
-		pl.denA, err = pl.denoiseAmplitude(pl.denA, pl.ampA, cfg)
-		if err != nil {
-			return 0, err
-		}
-		pl.denB, err = pl.denoiseAmplitude(pl.denB, pl.ampB, cfg)
-		if err != nil {
-			return 0, err
-		}
-		denA, denB = pl.denA, pl.denB
-	} else {
-		denA, err = pl.denoisedAmpSeries(c, pair.A, sub, side, cfg)
-		if err != nil {
-			return 0, err
-		}
-		denB, err = pl.denoisedAmpSeries(c, pair.B, sub, side, cfg)
-		if err != nil {
-			return 0, err
-		}
-	}
+// amplitudeRatio is the denoised mean inter-antenna amplitude ratio at one
+// subcarrier, from the two antennas' denoised columns: divided per packet
+// and averaged — the stable amplitude quantity of Fig. 8. The median, not
+// the mean, averages the denoised ratios: an impulse surviving the wavelet
+// filter lands in only a packet or two and the median ignores it; the raw
+// arm of the Fig. 14 ablation averages plainly.
+func (pl *Pipeline) amplitudeRatio(denA, denB []float64, sub int, cfg Config) (float64, error) {
 	pl.ratios = pl.ratios[:0]
 	for i := range denA {
 		if denB[i] <= 0 {
@@ -272,33 +274,41 @@ func (pl *Pipeline) selectGoodSubcarriersSession(s *csi.Session, pair AntennaPai
 	return pl.good, nil
 }
 
-// extractPairFeature computes Eqs. 18-21 for one antenna pair. omegaDst is
-// the (zero-length, pre-capped) window of pl.omegaFlat the pair's
-// per-subcarrier Ω values append into. The baseline-side DSP reads through
-// bc when a cache is attached.
-func (pl *Pipeline) extractPairFeature(s *csi.Session, pair AntennaPair, good []int, cfg Config, omegaDst []float64, bc *BaselineCache) (PairFeature, error) {
+// extractPairFeature computes Eqs. 18-21 for pairs[p] from the staged
+// captures. omegaDst is the (zero-length, pre-capped) window of
+// pl.omegaFlat the pair's per-subcarrier Ω values append into. The
+// baseline values read through bc when a cache is attached; the baseline
+// stage is read only for what bc lacks.
+func (pl *Pipeline) extractPairFeature(s *csi.Session, p int, pair AntennaPair, good []int, cfg Config, omegaDst []float64, bc *BaselineCache) (PairFeature, error) {
 	pf := PairFeature{Pair: pair}
 	pl.thetas = pl.thetas[:0]
 	pl.psis = pl.psis[:0]
-	for _, sub := range good {
+	sa, sb := pl.slotOf[pair.A], pl.slotOf[pair.B]
+	for g, sub := range good {
 		// Eq. 18: ΔΘ = (φ̃tar,A − φ̃tar,B) − (φ̃free,A − φ̃free,B).
-		tgt, err := meanPhaseDiff(&s.Target, pair, sub)
+		tgt, err := pl.tgt.meanPhaseDiff(&s.Target, p, pair, g, good)
 		if err != nil {
 			return pf, err
 		}
-		base, err := pl.baselineMeanPhaseDiff(s, pair, sub, bc)
-		if err != nil {
-			return pf, err
+		base, ok := bc.getPhase(pair, sub)
+		if !ok {
+			if base, err = pl.base.meanPhaseDiff(&s.Baseline, p, pair, g, good); err != nil {
+				return pf, err
+			}
+			bc.putPhase(pair, sub, base)
 		}
 		theta := mathx.AngleDiff(tgt, base)
 		// Eq. 19: ΔΨ = (Atar,A/Atar,B) · (Afree,B/Afree,A).
-		rTgt, err := pl.amplitudeRatio(&s.Target, pair, sub, cfg, 0)
+		rTgt, err := pl.amplitudeRatio(pl.tgt.column(sa, g, len(good)), pl.tgt.column(sb, g, len(good)), sub, cfg)
 		if err != nil {
 			return pf, err
 		}
-		rBase, err := pl.baselineAmplitudeRatio(s, pair, sub, cfg, bc)
-		if err != nil {
-			return pf, err
+		rBase, ok := bc.getRatio(pair, sub)
+		if !ok {
+			if rBase, err = pl.amplitudeRatio(pl.base.column(sa, g, len(good)), pl.base.column(sb, g, len(good)), sub, cfg); err != nil {
+				return pf, err
+			}
+			bc.putRatio(pair, sub, rBase)
 		}
 		if rBase == 0 {
 			return pf, fmt.Errorf("core: zero baseline amplitude ratio at subcarrier %d", sub)
@@ -357,7 +367,6 @@ func (pl *Pipeline) extractFeatures(s *csi.Session, cfg Config, bc *BaselineCach
 			return nil, fmt.Errorf("core: pair %v exceeds %d antennas", p, numAnt)
 		}
 	}
-	pl.resetAmpMemo(numAnt, s.Target.Len(), s.Baseline.Len())
 	// Good subcarriers are selected over the whole session with the first
 	// pair, so the baseline and target sides of Eq. 18 use the same
 	// subcarriers.
@@ -377,6 +386,17 @@ func (pl *Pipeline) extractFeatures(s *csi.Session, cfg Config, bc *BaselineCach
 			return nil, err
 		}
 	}
+	// Stage each capture side once: the target always, the baseline only
+	// when the cache lacks one of its values.
+	pl.useAntennas(pairs, numAnt)
+	if err := pl.stage(&pl.tgt, &s.Target, pairs, good, cfg); err != nil {
+		return nil, err
+	}
+	if !bc.covers(pairs, good) {
+		if err := pl.stage(&pl.base, &s.Baseline, pairs, good, cfg); err != nil {
+			return nil, err
+		}
+	}
 	out := &pl.feats
 	out.GoodSubcarriers = good
 	out.Pairs = out.Pairs[:0]
@@ -388,7 +408,7 @@ func (pl *Pipeline) extractFeatures(s *csi.Session, cfg Config, bc *BaselineCach
 	}
 	for i, pair := range pairs {
 		window := pl.omegaFlat[i*len(good) : i*len(good) : (i+1)*len(good)]
-		pf, err := pl.extractPairFeature(s, pair, good, cfg, window, bc)
+		pf, err := pl.extractPairFeature(s, i, pair, good, cfg, window, bc)
 		if err != nil {
 			return nil, fmt.Errorf("core: pair %v: %w", pair, err)
 		}

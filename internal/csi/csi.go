@@ -296,21 +296,12 @@ func (c *Capture) NumAntennas() int {
 	return c.Packets[0].CSI.NumAntennas()
 }
 
-// The series extractors below are the inner loop of calibration and feature
-// extraction: they run once per (antenna pair, subcarrier) per capture, every
-// trial. Each keeps a fast path that indexes Values directly after a cheap
+// The series extractors below are the inner loop of calibration and
+// subcarrier selection: they run once per (antenna pair, subcarrier) per
+// capture, every trial. Each keeps a fast path that indexes Values directly after a cheap
 // combined bounds test; anything unusual (out-of-range argument, zero
 // denominator) falls back to the checked per-packet accessor so error text
 // and semantics stay identical to calling it in a loop.
-
-// growSeries returns buf resized to n, reallocating only when capacity is
-// insufficient — the backing-reuse idiom of the pipeline scratch buffers.
-func growSeries(buf []float64, n int) []float64 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float64, n)
-}
 
 // PhaseDiffSeries extracts the per-packet inter-antenna phase difference at
 // one subcarrier across the whole capture.
@@ -341,13 +332,8 @@ func (c *Capture) PhaseDiffSeries(antA, antB, sub int) ([]float64, error) {
 // PhaseDiffResultant sums, over the capture, the unit phasors of the
 // per-packet inter-antenna product z = a·conj(b) at one subcarrier — the
 // resultant R whose argument is the circular mean of the phase difference
-// and whose length gives its circular variance 1 − |R|/n (Eqs. 6-7). z is
-// formed exactly as PhaseDiffSeries forms it, and its phasor is z/|z|:
-// one Hypot per packet instead of the atan2 and Sincos of a round trip
-// through the angle. A zero product keeps the angle path's phasor, that of
-// atan2(±0, ±0) with π folded to −π. A non-finite product (a non-finite
-// CSI value, or an overflow) has no phasor and makes R NaN. Errors match
-// PhaseDiffSeries's.
+// and whose length gives its circular variance 1 − |R|/n (Eqs. 6-7). Each
+// packet's term is PhaseDiffPhasor's. Errors match PhaseDiffSeries's.
 func (c *Capture) PhaseDiffResultant(antA, antB, sub int) (x, y float64, err error) {
 	for i := range c.Packets {
 		v := c.Packets[i].CSI.Values
@@ -355,33 +341,38 @@ func (c *Capture) PhaseDiffResultant(antA, antB, sub int) (x, y float64, err err
 			_, err := c.Packets[i].CSI.PhaseDiff(antA, antB, sub)
 			return 0, 0, fmt.Errorf("csi: packet %d: %w", i, err)
 		}
-		z := v[antA][sub] * cmplx.Conj(v[antB][sub])
-		re, im := real(z), imag(z)
-		if h := math.Hypot(re, im); h != 0 {
-			x += re / h
-			y += im / h
-			continue
-		}
-		d := math.Atan2(im, re)
-		if d >= math.Pi {
-			d = -math.Pi
-		}
-		sin, cos := math.Sincos(d)
-		x += cos
-		y += sin
+		px, py := PhaseDiffPhasor(v[antA][sub], v[antB][sub])
+		x += px
+		y += py
 	}
 	return x, y, nil
 }
 
-// AmplitudeSeries extracts per-packet |H| at one antenna and subcarrier.
-func (c *Capture) AmplitudeSeries(ant, sub int) ([]float64, error) {
-	return c.AmplitudeSeriesInto(nil, ant, sub)
+// PhaseDiffPhasor returns the unit phasor of z = a·conj(b), whose angle is
+// the phase difference ∠a − ∠b: z is formed exactly as PhaseDiffSeries
+// forms it, and its phasor is z/|z|, one Hypot instead of the atan2 and
+// Sincos of a round trip through the angle. A zero product keeps the angle
+// path's phasor: atan2(±0, +0) is ±0, whose phasor is (1, ±0), and
+// atan2(±0, −0) is ±π, folded to −π. A non-finite product (a non-finite CSI
+// value, or an overflow) has no phasor: the result is NaN.
+func PhaseDiffPhasor(a, b complex128) (x, y float64) {
+	z := a * cmplx.Conj(b)
+	re, im := real(z), imag(z)
+	if h := math.Hypot(re, im); h != 0 {
+		return re / h, im / h
+	}
+	if math.Signbit(re) {
+		return negPiCos, negPiSin
+	}
+	return 1, im
 }
 
-// AmplitudeSeriesInto is AmplitudeSeries writing into dst (grown as needed
-// and returned). dst may be nil.
-func (c *Capture) AmplitudeSeriesInto(dst []float64, ant, sub int) ([]float64, error) {
-	out := growSeries(dst, len(c.Packets))
+// negPiSin and negPiCos are the phasor of the angle −π.
+var negPiSin, negPiCos = math.Sincos(-math.Pi)
+
+// AmplitudeSeries extracts per-packet |H| at one antenna and subcarrier.
+func (c *Capture) AmplitudeSeries(ant, sub int) ([]float64, error) {
+	out := make([]float64, len(c.Packets))
 	for i := range c.Packets {
 		v := c.Packets[i].CSI.Values
 		if uint(ant) >= uint(len(v)) || uint(sub) >= NumSubcarriers {

@@ -390,6 +390,7 @@ func TestPhaseResultantMatchesAngles(t *testing.T) {
 		angle float64
 	}{
 		{0, 1, 0},
+		{complex(0, negZero), 1, negZero},
 		{complex(tiny, 0), complex(0, tiny), 0},
 		{complex(-tiny, 0), complex(tiny, negZero), -math.Pi},
 	} {

@@ -5,9 +5,20 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dsp"
 	"repro/internal/mathx"
 )
+
+// snrDB is the signal-to-noise ratio in decibels of an observed version of
+// a clean signal, the noise being their element-wise difference.
+func snrDB(clean, observed []float64) float64 {
+	var ps, pn float64
+	for i := range clean {
+		ps += clean[i] * clean[i]
+		d := observed[i] - clean[i]
+		pn += d * d
+	}
+	return 10 * math.Log10(ps/pn)
+}
 
 // makeImpulseSignal builds the paper's scenario: a smooth useful signal plus
 // sparse impulse noise whose magnitude is comparable to the signal, plus a
@@ -40,8 +51,8 @@ func TestCorrelationDenoiseImprovesSNR(t *testing.T) {
 	if len(out) != len(dirty) {
 		t.Fatalf("output length %d, want %d", len(out), len(dirty))
 	}
-	before := dsp.SNRdB(clean, dirty)
-	after := dsp.SNRdB(clean, out)
+	before := snrDB(clean, dirty)
+	after := snrDB(clean, out)
 	if after <= before {
 		t.Errorf("denoising did not improve SNR: before %.2f dB, after %.2f dB", before, after)
 	}
@@ -124,8 +135,8 @@ func TestCorrelationDenoiseAllWavelets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := dsp.SNRdB(clean, dirty)
-			after := dsp.SNRdB(clean, out)
+			before := snrDB(clean, dirty)
+			after := snrDB(clean, out)
 			if after <= before {
 				t.Errorf("%s: SNR before %.2f, after %.2f", w.Name(), before, after)
 			}
@@ -180,7 +191,7 @@ func TestCorrelationDenoiseVsSpikeDensity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gain := dsp.SNRdB(clean, out) - dsp.SNRdB(clean, dirty); gain <= 0 {
+		if gain := snrDB(clean, out) - snrDB(clean, dirty); gain <= 0 {
 			t.Errorf("rate %.2f: SNR gain %.2f dB, want > 0", rate, gain)
 		}
 	}

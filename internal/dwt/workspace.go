@@ -212,11 +212,13 @@ func (ws *Workspace) suppress(band, adj []float64, sigma float64, maxIter int) {
 		if pw <= noisePower || pw == 0 {
 			break
 		}
-		// Corr_l = W_l ⊙ W_{l+1} (Eq. 11).
+		// Corr_l = W_l ⊙ W_{l+1} (Eq. 11), and its power PCorr_l.
+		var pcorr float64
 		for m := 0; m < n; m++ {
-			corr[m] = band[m] * adj[m]
+			c := band[m] * adj[m]
+			corr[m] = c
+			pcorr += c * c
 		}
-		pcorr := sumSquares(corr)
 		if pcorr == 0 {
 			break
 		}

@@ -8,6 +8,7 @@ package filter
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/mathx"
@@ -98,8 +99,14 @@ func RejectOutliers3SigmaInto(dst []float64, mask []bool, x []float64) (cleaned 
 	if len(x) == 0 {
 		return cleaned, outliers
 	}
+	// mathx.StdDev's arithmetic, on the mean computed once.
 	mu := mathx.Mean(x)
-	sigma := mathx.StdDev(x)
+	var ss float64
+	for _, v := range x {
+		d := v - mu
+		ss += d * d
+	}
+	sigma := math.Sqrt(ss / float64(len(x)))
 	lo, hi := mu-3*sigma, mu+3*sigma
 	for i, v := range x {
 		if v < lo || v > hi {

@@ -247,8 +247,7 @@ func TestOutliersExceed3Sigma(t *testing.T) {
 	}
 	// With 5% outliers at 4x magnitude, some samples must sit outside
 	// mean ± 3·(robust sigma).
-	med := mathx.Median(amps)
-	sigma := mathx.MADStdDev(amps)
+	med, sigma := mathx.MedianAndMADStdDev(amps)
 	count := 0
 	for _, a := range amps {
 		if math.Abs(a-med) > 3*sigma {

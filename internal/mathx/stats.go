@@ -8,8 +8,10 @@
 package mathx
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -83,7 +85,12 @@ func kthInPlace(xs []float64, k int) float64 {
 	lo, hi := 0, len(xs)-1
 	for budget := 2 * bits.Len(uint(len(xs))); lo < hi; budget-- {
 		if budget == 0 {
-			sort.Float64s(xs[lo : hi+1])
+			// Sort by key, not with sort.Float64s: that treats −0 and +0
+			// as equal, so which zero lands at k would depend on the
+			// arrangement.
+			slices.SortFunc(xs[lo:hi+1], func(a, b float64) int {
+				return cmp.Compare(floatKey(a), floatKey(b))
+			})
 			break
 		}
 		mid := lo + (hi-lo)/2
@@ -247,9 +254,10 @@ func medianAndMAD(xs []float64) (med, mad float64) {
 	return med, medianInPlace(tmp)
 }
 
-// MedianAndMADStdDev returns Median(xs) and MADStdDev(xs) together, computing
-// the shared median once instead of twice — the robust location/scale pair
-// every filtering stage asks for.
+// MedianAndMADStdDev returns Median(xs) and the MAD as a consistent
+// estimator of the Gaussian standard deviation (MAD(xs) divided by
+// Φ⁻¹(3/4) ≈ 0.6745), computing the shared median once — the robust
+// location/scale pair every filtering stage asks for.
 func MedianAndMADStdDev(xs []float64) (med, sigma float64) {
 	med, mad := medianAndMAD(xs)
 	return med, mad / 0.6745
@@ -272,12 +280,6 @@ func MedianAndMADStdDevBuf(xs, buf []float64) (med, sigma float64, scratch []flo
 		tmp[i] = math.Abs(x - med)
 	}
 	return med, medianInPlace(tmp) / 0.6745, buf
-}
-
-// MADStdDev converts a MAD into a consistent estimator of the Gaussian
-// standard deviation (divide by Φ⁻¹(3/4) ≈ 0.6745).
-func MADStdDev(xs []float64) float64 {
-	return MAD(xs) / 0.6745
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear

@@ -99,9 +99,9 @@ func TestMADStdDevGaussianConsistency(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64() * 2.5
 	}
-	got := MADStdDev(xs)
+	_, got := MedianAndMADStdDev(xs)
 	if math.Abs(got-2.5) > 0.1 {
-		t.Errorf("MADStdDev of N(0, 2.5²) = %v, want ≈2.5", got)
+		t.Errorf("MAD-based σ of N(0, 2.5²) = %v, want ≈2.5", got)
 	}
 }
 
@@ -444,6 +444,28 @@ func TestMedianWithNaNsMatchesSortReference(t *testing.T) {
 	}
 }
 
+// TestMedianInvariantToArrangement pins the median as a function of its
+// input multiset: shuffling an input never changes a bit of its median,
+// even for signed-zero-heavy inputs on which a run of poor pivots sends the
+// selection to its sorting fallback.
+func TestMedianInvariantToArrangement(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	values := []float64{math.Copysign(0, -1), 0, -1, 1}
+	for trial := 0; trial < 50000; trial++ {
+		xs := make([]float64, 2*(1+rng.Intn(16)))
+		for i := range xs {
+			xs[i] = values[rng.Intn(len(values))]
+		}
+		want := Median(xs)
+		for s := 0; s < 4; s++ {
+			rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+			if got := Median(xs); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: median of %v is %v, of another arrangement %v", trial, xs, got, want)
+			}
+		}
+	}
+}
+
 func TestMedianDoesNotMutateInput(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
 	Median(xs)
@@ -503,7 +525,7 @@ func TestMedianAndMADStdDevMatchesSeparateCalls(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 10
 		}
-		wantMed, wantSig := Median(xs), MADStdDev(xs)
+		wantMed, wantSig := Median(xs), MAD(xs)/0.6745
 		if med, sig := MedianAndMADStdDev(xs); med != wantMed || sig != wantSig {
 			t.Fatalf("MedianAndMADStdDev = (%v, %v), want (%v, %v)", med, sig, wantMed, wantSig)
 		}

@@ -171,21 +171,58 @@ func NewDetector(cfg Config) (*Detector, error) {
 // log-amplitude over all antennas and subcarriers. The log makes the common
 // receiver gain additive and target attenuation a level shift.
 func statistic(m *csi.Matrix) float64 {
-	var sum float64
-	n := 0
+	sum, n := logAmplitudes(m)
+	if n == 0 {
+		return math.Inf(-1)
+	}
+	return sum / float64(n)
+}
+
+// logAmplitudes returns Σ log|H| over the packet's cells with |H| > 0, and
+// how many cells that is, paying one math.Log per packet instead of one per
+// cell. log|H| = ½·log(re²+im²), and a normal float |H|² = 2^e·f with f in
+// [1,2), so the normal cells add e to an integer sum and multiply f into a
+// product whose exponent is moved into that sum every renormEvery cells
+// (a product of that many factors below 2 cannot overflow). A cell whose
+// |H|² is zero, subnormal, overflowing or not finite takes the Hypot and
+// Log of the direct formula, so it counts, or is skipped, exactly as there.
+// The sum differs from the cell-by-cell one only by rounding.
+func logAmplitudes(m *csi.Matrix) (sum float64, n int) {
+	const (
+		expMask     = 0x7ff << 52
+		expOne      = 1023 << 52 // the exponent bits of 1.0
+		renormEvery = 512
+	)
+	var (
+		exps   int // Σ e, plus the exponents moved out of prod
+		normal int // factors in prod since the last renormalisation
+		prod   = 1.0
+	)
 	for _, row := range m.Values {
 		for _, v := range row {
-			a := math.Hypot(real(v), imag(v))
-			if a > 0 {
+			re, im := real(v), imag(v)
+			b := math.Float64bits(re*re + im*im)
+			// Biased exponents 1..0x7fe are the normal floats; the sign bit
+			// is clear for every sum of squares but NaN.
+			if e := b >> 52; e-1 < 0x7fe {
+				exps += int(e) - 1023
+				prod *= math.Float64frombits(b&^expMask | expOne)
+				if normal++; normal == renormEvery {
+					pb := math.Float64bits(prod)
+					exps += int(pb>>52) - 1023
+					prod = math.Float64frombits(pb&^expMask | expOne)
+					normal = 0
+				}
+				n++
+				continue
+			}
+			if a := math.Hypot(re, im); a > 0 {
 				sum += math.Log(a)
 				n++
 			}
 		}
 	}
-	if n == 0 {
-		return math.Inf(-1)
-	}
-	return sum / float64(n)
+	return sum + 0.5*(float64(exps)*math.Ln2+math.Log(prod)), n
 }
 
 // Feed processes one packet. It returns a non-nil event when a change is
@@ -194,9 +231,13 @@ func (d *Detector) Feed(pkt csi.Packet) (*Event, error) {
 	if pkt.CSI == nil {
 		return nil, fmt.Errorf("monitor: packet %d has nil CSI", pkt.Seq)
 	}
+	return d.observe(statistic(pkt.CSI))
+}
+
+// observe advances the detector by one packet whose statistic is x.
+func (d *Detector) observe(x float64) (*Event, error) {
 	idx := d.count
 	d.count++
-	x := statistic(pkt.CSI)
 	if math.IsInf(x, 0) || math.IsNaN(x) {
 		// Skip-and-count: an all-zero packet carries no level information,
 		// and a fault-injected or real dropout must not kill the monitor.

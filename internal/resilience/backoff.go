@@ -74,15 +74,17 @@ func (c BackoffConfig) withDefaults() BackoffConfig {
 type Backoff struct {
 	cfg BackoffConfig
 
-	mu  sync.Mutex
+	mu sync.Mutex
+	// rng is the seeded jitter stream, made by the first Delay: seeding a
+	// math/rand source fills a 607-word table, and most schedules (one per
+	// gateway request) never back off at all.
 	rng *rand.Rand
 }
 
 // NewBackoff builds a schedule from the config (zero fields take
 // defaults).
 func NewBackoff(cfg BackoffConfig) *Backoff {
-	cfg = cfg.withDefaults()
-	return &Backoff{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Backoff{cfg: cfg.withDefaults()}
 }
 
 // Base returns the unjittered exponential delay for a retry attempt
@@ -107,6 +109,9 @@ func (b *Backoff) Base(attempt int) time.Duration {
 func (b *Backoff) Delay(attempt int) time.Duration {
 	base := b.Base(attempt)
 	b.mu.Lock()
+	if b.rng == nil {
+		b.rng = rand.New(rand.NewSource(b.cfg.Seed))
+	}
 	u := b.rng.Float64()
 	b.mu.Unlock()
 	switch b.cfg.Jitter {

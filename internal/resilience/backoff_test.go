@@ -53,6 +53,25 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 }
 
+// TestBackoffDelaySequencePinned pins the jittered delays of a fixed seed,
+// so a change to how or when the jitter stream is made cannot move them.
+func TestBackoffDelaySequencePinned(t *testing.T) {
+	for _, tc := range []struct {
+		jitter JitterMode
+		want   []time.Duration
+	}{
+		{JitterEqual, []time.Duration{118651418, 206600049, 520818770, 883527481, 1635054766, 3574789949}},
+		{JitterFull, []time.Duration{37302836, 13200099, 241637540, 167054962, 70109533, 1149579899}},
+	} {
+		b := NewBackoff(BackoffConfig{Initial: 100 * time.Millisecond, Max: 3 * time.Second, Jitter: tc.jitter, Seed: 42})
+		for i, want := range tc.want {
+			if got := b.Delay(i); got != want {
+				t.Errorf("%v jitter: Delay(%d) = %d, want %d", tc.jitter, i, got, want)
+			}
+		}
+	}
+}
+
 // TestBackoffDeterministicAcrossRuns pins that the same seed yields the
 // same jittered schedule.
 func TestBackoffDeterministicAcrossRuns(t *testing.T) {
