@@ -102,12 +102,16 @@ test:
 race:
 	go test -race ./...
 
-# race-stress repeats the tests that reach serve's shared admission state —
-# the admission count, the pipeline-slot semaphore and the outcome
-# counters — from many goroutines at once, ten times under the race
-# detector: one clean run of concurrent code proves little.
+# race-stress repeats, ten times under the race detector, the tests that
+# reach shared state from many goroutines at once: serve's admission count,
+# pipeline-slot semaphore and outcome counters, and the gateway's
+# concurrent routing — bounded-load spillover around a held backend, and
+# the batched, coalesced relay against the single one. One clean run of
+# concurrent code proves little. The gateway chaos test stays out: it is
+# load-sensitive when run alongside itself.
 race-stress:
 	go test -race -count=10 -run 'TestAdmissionBoundsAndCounters|TestShedsWith429WhenSaturated|TestShutdownDrainsAdmittedRequests|TestBatchedIdentifyMatchesSingleHTTP|TestBatchEndpointSlotsMatchSingleResponses' ./internal/serve
+	go test -race -count=10 -run '^(TestLoadSlackSpillsAroundHeldBackend|TestBatchedRelayBitIdentical)$$' ./internal/gateway
 
 # bench runs the full evaluation harness and writes a dated benchmark record
 # (per-experiment wall time + component microbenchmarks) for bench-compare.

@@ -147,8 +147,8 @@ func TestBenchJSONRecord(t *testing.T) {
 	if rep.Trials != 3 || rep.Splits != 1 || rep.Workers != 2 {
 		t.Errorf("options not recorded: %+v", rep)
 	}
-	if len(rep.Micro) != 17 {
-		t.Fatalf("%d microbenchmarks, want 17 (5 component + 1 predict + 4 serve + 2 pipeline + 3 gateway + 2 hub)", len(rep.Micro))
+	if len(rep.Micro) != 16 {
+		t.Fatalf("%d microbenchmarks, want 16 (5 component + 1 predict + 3 serve + 2 pipeline + 3 gateway + 2 hub)", len(rep.Micro))
 	}
 	for _, m := range rep.Micro {
 		if m.NsPerOp <= 0 {
@@ -165,7 +165,6 @@ func TestBenchJSONRecord(t *testing.T) {
 		"pipeline-identify-20", "pipeline-identify-100",
 		"svm-predict-seq8",
 		"BenchmarkServeIdentify/single",
-		"BenchmarkServeIdentify/batched8",
 		"BenchmarkServeIdentify/batched8-cold",
 		"BenchmarkGatewayRelay/single",
 		"BenchmarkGatewayRelay/batched8",

@@ -22,15 +22,8 @@ import (
 // serving latency alongside the component benches. Entries:
 //
 //	BenchmarkServeIdentify/single        one sequential request per op
-//	                                     (verdict cache off)
-//	BenchmarkServeIdentify/batched8      eight concurrent requests of one
-//	                                     replayed capture per op against a
-//	                                     verdict-cache-enabled server — the
-//	                                     monitoring-replay scenario the
-//	                                     cache exists for, and the headline
-//	                                     gate
-//	BenchmarkServeIdentify/batched8-cold the same eight concurrent posts
-//	                                     with the cache off: every op pays
+//	BenchmarkServeIdentify/batched8-cold eight concurrent posts of one
+//	                                     capture per op: every request pays
 //	                                     decode, DSP and classification,
 //	                                     one pipeline per request
 func serveMicroBenchmarks() []benchMicro {
@@ -43,21 +36,17 @@ func serveMicroBenchmarks() []benchMicro {
 	modelPath := filepath.Join(dir, "model.json")
 	session := trainServeModel(modelPath)
 	body := encodeIdentifyRequest(session)
-	newServer := func(verdictCache int) (*serve.Server, *httptest.Server) {
-		reg, err := registry.Open(modelPath)
-		if err != nil {
-			panic(err)
-		}
-		s, err := serve.New(serve.Config{
-			Registry:     reg,
-			QueueDepth:   256,
-			VerdictCache: verdictCache,
-		})
-		if err != nil {
-			panic(err)
-		}
-		return s, httptest.NewServer(s.Handler())
+	reg, err := registry.Open(modelPath)
+	if err != nil {
+		panic(err)
 	}
+	cold, err := serve.New(serve.Config{Registry: reg, QueueDepth: 256})
+	if err != nil {
+		panic(err)
+	}
+	defer cold.Shutdown()
+	coldTS := httptest.NewServer(cold.Handler())
+	defer coldTS.Close()
 	post := func(client *http.Client, url string) {
 		resp, err := client.Post(url+"/v1/identify", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -80,10 +69,6 @@ func serveMicroBenchmarks() []benchMicro {
 		}
 		wg.Wait()
 	}
-
-	cold, coldTS := newServer(0)
-	defer cold.Shutdown()
-	defer coldTS.Close()
 
 	// The inference floor under the HTTP numbers: one warmed pipeline
 	// running session → Ω verdict with zero steady-state allocation.
@@ -127,15 +112,7 @@ func serveMicroBenchmarks() []benchMicro {
 	batchedCold := measureMicro("BenchmarkServeIdentify/batched8-cold", func() {
 		post8(coldClient, coldTS.URL)
 	})
-
-	cached, cachedTS := newServer(64)
-	defer cached.Shutdown()
-	defer cachedTS.Close()
-	cachedClient := cachedTS.Client()
-	batched := measureMicro("BenchmarkServeIdentify/batched8", func() {
-		post8(cachedClient, cachedTS.URL)
-	})
-	return append([]benchMicro{pooled, single, batched, batchedCold}, pipeline...)
+	return append([]benchMicro{pooled, single, batchedCold}, pipeline...)
 }
 
 // registryActive opens the model fresh and returns its identifier, so the

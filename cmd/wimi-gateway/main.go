@@ -65,7 +65,6 @@ func run(args []string, out *os.File) error {
 		probeInterval = fs.Duration("probe-interval", time.Second, "backend /readyz probe period")
 		deadline      = fs.Duration("deadline", 10*time.Second, "per-request deadline budget shared across retries")
 		retries       = fs.Int("retries", 3, "max attempts per request across backends")
-		hedgeAfter    = fs.Duration("hedge-after", 0, "fire a duplicate request at the next backend after this delay (0 disables)")
 		loadSlack     = fs.Int("load-slack", 2, "in-flight requests above the least-loaded backend before affinity spills")
 		batchMax      = fs.Int("batch", 1, "aggregate up to this many concurrent requests per backend into one upstream batch call; >1 also coalesces identical in-flight requests (1 disables)")
 	)
@@ -98,7 +97,6 @@ func run(args []string, out *os.File) error {
 		ProbeInterval:   *probeInterval,
 		RequestTimeout:  *deadline,
 		MaxAttempts:     *retries,
-		HedgeDelay:      *hedgeAfter,
 		LoadSlack:       *loadSlack,
 		BatchMax:        *batchMax,
 		Backoff:         resilience.BackoffConfig{Jitter: resilience.JitterFull},
@@ -149,8 +147,8 @@ func run(args []string, out *os.File) error {
 			err := httpSrv.Close()
 			g.Close()
 			st := g.Stats()
-			fmt.Fprintf(out, "wimi-gateway: drained (proxied %d, retried %d, hedged %d, spilled %d, shed %d, failed %d, coalesced %d, batches %d)\n",
-				st.Proxied, st.Retried, st.Hedged, st.Spilled, st.Shed, st.Failed, st.Coalesced, st.BatchesSent)
+			fmt.Fprintf(out, "wimi-gateway: drained (proxied %d, retried %d, spilled %d, shed %d, failed %d, coalesced %d, batches %d)\n",
+				st.Proxied, st.Retried, st.Spilled, st.Shed, st.Failed, st.Coalesced, st.BatchesSent)
 			return err
 		}
 	}

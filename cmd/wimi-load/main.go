@@ -248,9 +248,9 @@ func batchFire(client *http.Client, target string, bodies [][]byte, size int, re
 // printServeStats summarises the target's batching behaviour after the
 // run. A gateway target answers /v1/cluster (coalescing, upstream batch
 // histogram, connection reuse); a bare wimi-serve answers /readyz (how
-// many captures each admitted request carried, verdict cache). Serve runs
-// one pipeline per capture, so its histogram counts requests, not
-// batches: mass above size 1 comes only from batch frames.
+// many captures each admitted request carried). Serve runs one pipeline
+// per capture, so its histogram counts requests, not batches: mass above
+// size 1 comes only from batch frames.
 func printServeStats(out io.Writer, client *http.Client, target string) error {
 	if done, err := printGatewayStats(out, client, target); done || err != nil {
 		return err
@@ -283,7 +283,7 @@ func printServeStats(out io.Writer, client *http.Client, target string) error {
 	} else {
 		fmt.Fprintf(out, " (%d requests, %.0f%% frames of several)", requests, 100*float64(framed)/float64(requests))
 	}
-	fmt.Fprintf(out, " cache hits=%d misses=%d\n", st.CacheHits, st.CacheMisses)
+	fmt.Fprintln(out)
 	return nil
 }
 

@@ -55,7 +55,6 @@ func run(args []string, out *os.File) error {
 		workers    = fs.Int("workers", 0, "pipelines that run at once (0 = GOMAXPROCS)")
 		drainWait  = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
-		vcache     = fs.Int("verdict-cache", 0, "verdict-cache entries: identical captures replayed against the same model answer without re-running the pipeline (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -72,7 +71,6 @@ func run(args []string, out *os.File) error {
 		QueueDepth:     *queueDepth,
 		Workers:        *workers,
 		RequestTimeout: *deadline,
-		VerdictCache:   *vcache,
 	})
 	if err != nil {
 		return err

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/csi"
+	"repro/internal/simulate"
 	"repro/wimi"
 )
 
@@ -141,6 +142,52 @@ func TestNonFiniteCSINeverGetsAVerdict(t *testing.T) {
 				t.Errorf("%s at used subcarrier %d: %s failed: %v", name, good[0], r.path, r.err)
 			}
 			checkFinite(t, name, r)
+		}
+	}
+}
+
+// withShortRow returns a copy of s whose target (or baseline) capture has
+// one antenna row of packet pkt cut to n entries.
+func withShortRow(s *csi.Session, baseline bool, pkt, ant, n int) *csi.Session {
+	out := *s
+	c := &out.Target
+	if baseline {
+		c = &out.Baseline
+	}
+	c.Packets = append([]csi.Packet(nil), c.Packets...)
+	c.Packets[pkt].CSI = c.Packets[pkt].CSI.Clone()
+	c.Packets[pkt].CSI.Values[ant] = c.Packets[pkt].CSI.Values[ant][:n]
+	return &out
+}
+
+// TestShortCSIRowIsAnError pins that a CSI row shorter than
+// NumSubcarriers is an error on every core path — the pipeline entry
+// point uncached and through a warm baseline cache, the allocating
+// wrappers, ExtractFeatures and the wimi facade — where it was an index
+// panic inside extraction.
+func TestShortCSIRowIsAnError(t *testing.T) {
+	s, err := simulate.Session(simulate.Default(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.ExtractFeatures(withShortRow(s, false, 3, 0, 10), core.DefaultConfig()); err == nil {
+		t.Error("ExtractFeatures accepted a 10-entry target row")
+	}
+
+	id, sessions := guardIdentifier(t)
+	clean := sessions[0]
+	for _, tc := range []struct {
+		baseline bool
+		n        int
+	}{{false, 10}, {false, 0}, {true, 10}, {false, csi.NumSubcarriers - 1}} {
+		short := withShortRow(clean, tc.baseline, 3, 0, tc.n)
+		if _, err := core.ExtractFeatures(short, core.DefaultConfig()); err == nil {
+			t.Errorf("ExtractFeatures accepted a %d-entry row (baseline %v)", tc.n, tc.baseline)
+		}
+		for _, r := range identifyEveryPath(t, id, clean, short, core.DefaultConfig()) {
+			if r.err == nil {
+				t.Errorf("%d-entry row (baseline %v): %s answered %+v", tc.n, tc.baseline, r.path, r.det)
+			}
 		}
 	}
 }

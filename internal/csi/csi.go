@@ -465,14 +465,23 @@ func CheckCarrier(hz float64) error {
 	return nil
 }
 
-// Validate checks the session is usable: non-empty captures with matching
-// antenna counts and a finite, positive carrier.
+// Validate checks the session is usable: non-empty captures whose every
+// packet has a matrix of rows NumSubcarriers long, matching antenna
+// counts, and a finite, positive carrier. The row check is what lets the
+// series extractors' fast paths index any subcarrier below NumSubcarriers
+// without a bounds test; it allocates nothing.
 func (s *Session) Validate() error {
 	if s.Baseline.Len() == 0 {
 		return fmt.Errorf("csi: session has no baseline packets")
 	}
 	if s.Target.Len() == 0 {
 		return fmt.Errorf("csi: session has no target packets")
+	}
+	if err := s.Baseline.checkRows("baseline"); err != nil {
+		return err
+	}
+	if err := s.Target.checkRows("target"); err != nil {
+		return err
 	}
 	if a, b := s.Baseline.NumAntennas(), s.Target.NumAntennas(); a != b {
 		return fmt.Errorf("csi: antenna count mismatch: baseline %d vs target %d", a, b)
@@ -482,6 +491,23 @@ func (s *Session) Validate() error {
 	}
 	if CheckCarrier(s.Carrier) != nil {
 		return fmt.Errorf("csi: invalid carrier frequency %v", s.Carrier)
+	}
+	return nil
+}
+
+// checkRows reports the first packet of c without a matrix, or the first
+// antenna row whose length is not NumSubcarriers.
+func (c *Capture) checkRows(side string) error {
+	for i := range c.Packets {
+		m := c.Packets[i].CSI
+		if m == nil {
+			return fmt.Errorf("csi: %s packet %d has no CSI matrix", side, i)
+		}
+		for ant, row := range m.Values {
+			if len(row) != NumSubcarriers {
+				return fmt.Errorf("csi: %s packet %d antenna %d has %d subcarriers, want %d", side, i, ant, len(row), NumSubcarriers)
+			}
+		}
 	}
 	return nil
 }

@@ -259,6 +259,52 @@ func TestSessionValidateCarrier(t *testing.T) {
 	}
 }
 
+// TestSessionValidateRowLengths pins that every packet of both captures
+// has a matrix whose antenna rows are NumSubcarriers long: a missing
+// matrix or a short or long row is an error naming where it is, never a
+// panic further down the pipeline, and checking a valid session
+// allocates nothing.
+func TestSessionValidateRowLengths(t *testing.T) {
+	fresh := func() *Session {
+		return &Session{Carrier: 5.32e9, Baseline: makeCapture(t, 3, 0, 0), Target: makeCapture(t, 3, 1, 1)}
+	}
+	for _, tc := range []struct {
+		baseline bool
+		pkt, ant int
+		n        int
+		err      string
+	}{
+		{false, 2, 0, 10, "csi: target packet 2 antenna 0 has 10 subcarriers, want 30"},
+		{false, 0, 1, 0, "csi: target packet 0 antenna 1 has 0 subcarriers, want 30"},
+		{true, 1, 1, 29, "csi: baseline packet 1 antenna 1 has 29 subcarriers, want 30"},
+		{true, 0, 0, 31, "csi: baseline packet 0 antenna 0 has 31 subcarriers, want 30"},
+		{false, 1, -1, 0, "csi: target packet 1 has no CSI matrix"},
+		{true, 0, -1, 0, "csi: baseline packet 0 has no CSI matrix"},
+	} {
+		s := fresh()
+		c := &s.Target
+		if tc.baseline {
+			c = &s.Baseline
+		}
+		if tc.ant < 0 {
+			c.Packets[tc.pkt].CSI = nil
+		} else {
+			c.Packets[tc.pkt].CSI.Values[tc.ant] = make([]complex128, tc.n)
+		}
+		if err := s.Validate(); err == nil || err.Error() != tc.err {
+			t.Errorf("Validate() = %v, want %q", err, tc.err)
+		}
+	}
+	good := fresh()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := good.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %.1f times per call on a valid session, want 0", n)
+	}
+}
+
 func TestSessionValidateSingleAntenna(t *testing.T) {
 	one := func(n int) Capture {
 		var cap Capture

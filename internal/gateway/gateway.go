@@ -68,10 +68,6 @@ type Config struct {
 	// Backoff shapes the inter-attempt delays after hard failures
 	// (defaults: 25ms initial, 250ms max, full jitter).
 	Backoff resilience.BackoffConfig
-	// HedgeDelay, when positive, fires a duplicate request at the
-	// next-ranked backend if the primary has not answered within the
-	// delay — the tail-latency cure for slow-but-alive backends.
-	HedgeDelay time.Duration
 	// Breaker parameterises the per-backend circuit breakers (defaults:
 	// 3 consecutive failures trip, 2s cool-down, 1 half-open probe).
 	Breaker resilience.BreakerConfig
@@ -90,8 +86,8 @@ type Config struct {
 	MaxBodyBytes int64
 	// Client overrides the backend HTTP client (tests).
 	Client *http.Client
-	// Clock supplies time for budgets, breakers and hedging (default
-	// RealClock).
+	// Clock supplies time for budgets, backoff sleeps, breakers and
+	// Retry-After penalties (default RealClock).
 	Clock resilience.Clock
 	// Logf, when set, receives operational log lines (probe transitions,
 	// reload pushes). Default: discard.
@@ -153,8 +149,6 @@ type Stats struct {
 	Proxied uint64 `json:"proxied"`
 	// Retried counts extra attempts beyond each request's first.
 	Retried uint64 `json:"retried"`
-	// Hedged counts duplicate (tail-latency) requests launched.
-	Hedged uint64 `json:"hedged"`
 	// Spilled counts 429/503 backend answers converted into an immediate
 	// try elsewhere.
 	Spilled uint64 `json:"spilled"`
@@ -199,7 +193,6 @@ type Gateway struct {
 
 	proxied atomic.Uint64
 	retried atomic.Uint64
-	hedged  atomic.Uint64
 	spilled atomic.Uint64
 	relayed atomic.Uint64
 	shed    atomic.Uint64
@@ -303,7 +296,6 @@ func (g *Gateway) Stats() Stats {
 	st := Stats{
 		Proxied:             g.proxied.Load(),
 		Retried:             g.retried.Load(),
-		Hedged:              g.hedged.Load(),
 		Spilled:             g.spilled.Load(),
 		Relayed:             g.relayed.Load(),
 		Shed:                g.shed.Load(),

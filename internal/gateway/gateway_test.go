@@ -1,10 +1,15 @@
 package gateway
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/resilience"
 	"repro/internal/serve"
 	"repro/internal/testutil"
 )
@@ -205,6 +211,113 @@ func TestFailoverToHealthyBackend(t *testing.T) {
 	// identify count stays well below the request count.
 	if n := bad.identifies.Load(); n >= 10 {
 		t.Errorf("bad backend saw %d identifies; breaker never tripped", n)
+	}
+}
+
+// TestRetryStopsWhenBudgetCannotFitNextWait pins that the routing loop
+// never sleeps past its request's budget: when the backoff wait after a
+// hard failure plus MinAttempt no longer fits in what is left, the loop
+// answers 503 at once instead of sleeping into a doomed attempt. The fake
+// clock never moves, so a loop that slept would hang here.
+func TestRetryStopsWhenBudgetCannotFitNextWait(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t, 3))
+	f := newFakeBackend(t, "sha256:aaa", "water")
+	f.setIdentify(func(w http.ResponseWriter, r *http.Request) bool {
+		w.WriteHeader(http.StatusInternalServerError)
+		return true
+	})
+	g, ts := newTestGateway(t, Config{
+		Clock:          resilience.NewFakeClock(),
+		RequestTimeout: 50 * time.Millisecond,
+		MaxAttempts:    10,
+		// The first wait is at least 100ms, twice the whole budget.
+		Backoff: resilience.BackoffConfig{Initial: 100 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: resilience.JitterEqual},
+	}, f)
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/identify", "application/json", strings.NewReader(`{"x":1}`))
+	if err != nil {
+		t.Fatalf("the routing loop slept past its budget: %v", err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("status %d, Retry-After %q; want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n := f.identifies.Load(); n != 1 {
+		t.Errorf("%d attempts reached the backend, want 1 (no doomed retries past the budget)", n)
+	}
+	if st := g.Stats(); st.Retried != 0 || st.Failed != 1 {
+		t.Errorf("stats %+v, want retried=0 failed=1", st)
+	}
+}
+
+// TestRetryCancelledContext pins that the routing loop stops when its
+// client hangs up: a client that cancels while the loop backs off after a
+// hard failure gets no further attempt made for it, and the request moves
+// no outcome counter. The fake clock never moves, so the backoff sleep can
+// end only through the client's context.
+func TestRetryCancelledContext(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t, 3))
+	f := newFakeBackend(t, "sha256:aaa", "water")
+	f.setIdentify(func(w http.ResponseWriter, r *http.Request) bool {
+		w.WriteHeader(http.StatusInternalServerError)
+		return true
+	})
+	clk := resilience.NewFakeClock()
+	g, err := New(Config{
+		Backends:      []string{f.url()},
+		Clock:         clk,
+		ProbeInterval: 20 * time.Millisecond,
+		MaxAttempts:   2,
+		Backoff:       resilience.BackoffConfig{Initial: time.Second, Max: time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	handled := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		g.Handler().ServeHTTP(w, r)
+		close(handled)
+	}))
+	t.Cleanup(ts.Close)
+	waitRoutable(t, g, 1)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/identify", strings.NewReader(`{"x":1}`))
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				_ = resp.Body.Close()
+			}
+		}
+		errc <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for f.identifies.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the first attempt never reached the backend")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Errorf("client error %v, want context.Canceled", err)
+	}
+	select {
+	case <-handled:
+	case <-time.After(5 * time.Second):
+		clk.Advance(time.Hour) // end the sleep, so the handler can return
+		t.Fatal("the routing loop kept backing off after its client hung up")
+	}
+	if n := f.identifies.Load(); n != 1 {
+		t.Errorf("%d attempts reached the backend, want 1", n)
+	}
+	if st := g.Stats(); st.Retried != 0 || st.Proxied+st.Relayed+st.Shed+st.Failed != 0 {
+		t.Errorf("stats %+v, want no retry and no outcome counted for an abandoned request", st)
 	}
 }
 
@@ -410,33 +523,148 @@ func TestAffinitySameBodySameBackend(t *testing.T) {
 	}
 }
 
-func TestHedgeCuresSlowBackend(t *testing.T) {
+// TestLoadSlackSpillsAroundHeldBackend pins the slow-backend defence that
+// needs no duplicate work: bounded-load spillover. One backend holds every
+// identify until released. With the default LoadSlack it carries exactly
+// LoadSlack+1 of the requests that hash to it (its in-flight count may
+// exceed its idle peer's by LoadSlack), and every request beyond that
+// spills to the peer on its first attempt and answers 200 while the held
+// backend still holds. The batched data plane counts a call queued for a
+// flush as in flight, so the bound is the same at BatchMax 8.
+func TestLoadSlackSpillsAroundHeldBackend(t *testing.T) {
+	for _, batchMax := range []int{1, 8} {
+		t.Run(fmt.Sprintf("batch=%d", batchMax), func(t *testing.T) {
+			t.Cleanup(testutil.LeakCheck(t, 3))
+			release := make(chan struct{})
+			var releaseOnce sync.Once
+			unblock := func() { releaseOnce.Do(func() { close(release) }) }
+			defer unblock()
+			held := newFakeBackend(t, "sha256:aaa", "water")
+			held.setIdentify(func(w http.ResponseWriter, r *http.Request) bool {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return true
+				}
+				writeIdentifyOK(w, "water", "sha256:aaa")
+				return true
+			})
+			peer := newFakeBackend(t, "sha256:aaa", "water")
+			g, ts := newTestGateway(t, Config{BatchMax: batchMax}, held, peer)
+			waitRoutable(t, g, 2)
+
+			// Distinct bodies whose rendezvous owner is the held backend, keyed
+			// as each data plane keys them.
+			key := func(body string) uint64 {
+				if batchMax > 1 {
+					d := sha256.Sum256([]byte(body))
+					return binary.LittleEndian.Uint64(d[:8])
+				}
+				return bodyKey([]byte(body))
+			}
+			var bodies []string
+			for i := 0; len(bodies) < 8; i++ {
+				body := fmt.Sprintf(`{"i":%d}`, i)
+				if k := key(body); g.backends[0].score(k) > g.backends[1].score(k) {
+					bodies = append(bodies, body)
+				}
+			}
+
+			type reply struct {
+				status  int
+				backend string
+			}
+			replies := make(chan reply, len(bodies))
+			var answered []reply
+			// Send one at a time, each once the previous one is held or
+			// answered, so every pick sees settled in-flight counts; the held
+			// requests stay in flight throughout.
+			for i, body := range bodies {
+				heldBefore := held.identifies.Load()
+				go func() {
+					resp, err := http.Post(ts.URL+"/v1/identify", "application/json", strings.NewReader(body))
+					if err != nil {
+						replies <- reply{status: -1, backend: err.Error()}
+						return
+					}
+					_, _ = io.Copy(io.Discard, resp.Body)
+					_ = resp.Body.Close()
+					replies <- reply{resp.StatusCode, resp.Header.Get(BackendHeader)}
+				}()
+				deadline := time.Now().Add(5 * time.Second)
+			wait:
+				for held.identifies.Load() == heldBefore {
+					select {
+					case r := <-replies:
+						answered = append(answered, r)
+						break wait
+					case <-time.After(time.Millisecond):
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("request %d neither reached the held backend nor answered", i)
+					}
+				}
+			}
+
+			want := int64(g.cfg.LoadSlack) + 1
+			if n := held.identifies.Load(); n != want {
+				t.Errorf("held backend carries %d requests, want LoadSlack+1 = %d", n, want)
+			}
+			if len(answered) != len(bodies)-int(want) {
+				t.Errorf("%d of %d requests answered while the backend was held, want %d", len(answered), len(bodies), len(bodies)-int(want))
+			}
+			for _, r := range answered {
+				if r.status != http.StatusOK || r.backend != peer.url() {
+					t.Errorf("spilled request answered %d by %q, want 200 by the peer %s", r.status, r.backend, peer.url())
+				}
+			}
+			if n := g.Stats().Retried; n != 0 {
+				t.Errorf("retried %d: spillover is placement, not a retry after failure", n)
+			}
+
+			unblock()
+			for i := 0; i < len(bodies)-len(answered); i++ {
+				if r := <-replies; r.status != http.StatusOK || r.backend != held.url() {
+					t.Errorf("released request answered %d by %q, want 200 by the held backend %s", r.status, r.backend, held.url())
+				}
+			}
+		})
+	}
+}
+
+// TestSlotRetryAfterPenaltyIsBounded pins that a batch slot's Retry-After
+// takes the same bounds as the header form: no hint penalises for less
+// than 1s, and a hint whose seconds would overflow a Duration penalises
+// for MaxRetryAfter instead of a wrapped (negative or tiny) span.
+func TestSlotRetryAfterPenaltyIsBounded(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t, 3))
-	slow := newFakeBackend(t, "sha256:aaa", "water")
-	slow.setIdentify(func(w http.ResponseWriter, r *http.Request) bool {
-		select {
-		case <-time.After(2 * time.Second):
-		case <-r.Context().Done():
-			return true
-		}
-		writeIdentifyOK(w, "water", "sha256:aaa")
-		return true
-	})
-	fast := newFakeBackend(t, "sha256:aaa", "water")
-	g, ts := newTestGateway(t, Config{HedgeDelay: 20 * time.Millisecond, LoadSlack: 100}, slow, fast)
-	waitRoutable(t, g, 2)
-	start := time.Now()
-	for i := 0; i < 8; i++ {
-		resp, body := postIdentify(t, ts, fmt.Sprintf(`{"i":%d}`, i))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d, body %s", i, resp.StatusCode, body)
-		}
+	clk := resilience.NewFakeClock()
+	f := newFakeBackend(t, "sha256:aaa", "water")
+	g, err := New(Config{Backends: []string{f.url()}, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 8*time.Second {
-		t.Errorf("8 hedged requests took %v; hedging is not firing", elapsed)
-	}
-	if g.Stats().Hedged == 0 {
-		t.Error("no hedges launched despite a slow backend")
+	defer g.Close()
+	b := g.backends[0]
+	for _, tc := range []struct {
+		secs int64
+		want time.Duration
+	}{
+		{0, time.Second},
+		{7, 7 * time.Second},
+		{10000000000, resilience.MaxRetryAfter},
+		{18446744074, resilience.MaxRetryAfter},
+		{math.MaxInt64, resilience.MaxRetryAfter},
+	} {
+		b.penaltyUntil.Store(0)
+		res := g.classifySlot(b, serve.BatchSlot{Status: http.StatusTooManyRequests, RetryAfterSec: tc.secs}, "")
+		var spill *spillError
+		if !errors.As(res.err, &spill) || spill.after != tc.want {
+			t.Errorf("Retry-After %ds: %v, want a spill after %v", tc.secs, res.err, tc.want)
+		}
+		if got := time.Duration(b.penaltyUntil.Load() - clk.Now().UnixNano()); got != tc.want {
+			t.Errorf("Retry-After %ds: penalised for %v, want %v", tc.secs, got, tc.want)
+		}
 	}
 }
 

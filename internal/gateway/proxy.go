@@ -73,11 +73,10 @@ var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // pooledBody is a refcounted pooled buffer serving as an upstream request
 // body. Request-side scratch can be aliased by readers that outlive the
-// function that launched them — a hedge loser still writing when the
-// winner answers, a batch flush holding an abandoned slot, and net/http
-// itself when a backend answers 4xx/429 before draining the request
-// (the transport's write loop may still be reading the bytes as the
-// response returns). Every reader holds a reference; the buffer returns
+// function that launched them — a batch flush holding an abandoned slot,
+// and net/http itself when a backend answers 4xx/429 before draining the
+// request (the transport's write loop may still be reading the bytes as
+// the response returns). Every reader holds a reference; the buffer returns
 // to bufPool only when the last reference drops, so no status-based
 // guessing about whether the body was consumed is ever needed.
 type pooledBody struct {
@@ -162,7 +161,8 @@ func readBodyCRC(dst *bytes.Buffer, r io.Reader, limit int64) (uint32, error) {
 // res is a CRC-checked, parseable 200 from the expected model version;
 // every other outcome comes back as a classified error. Breaker
 // admission and outcome recording, penalty setting and stale marking all
-// happen here so the hedged path behaves identically to the primary.
+// happen here, so every attempt — first or retry, single or split back
+// out of a batch — is accounted the same way.
 func (g *Gateway) send(ctx context.Context, b *backend, body *pooledBody) (*proxyResult, error) {
 	if err := b.breaker.Allow(); err != nil {
 		return nil, err
@@ -280,26 +280,6 @@ func verifyIdentifyBody(h http.Header, body []byte, got uint32) error {
 	return nil
 }
 
-// forward sends the request to primary, hedging onto next when the
-// gateway is configured to and a distinct candidate exists. The hedge
-// launches only if the primary has not answered within HedgeDelay — a
-// duplicate racing a slow backend, with the loser's context cancelled as
-// soon as either produces a verified answer.
-func (g *Gateway) forward(ctx context.Context, primary, next *backend, body *pooledBody) (*proxyResult, error) {
-	if g.cfg.HedgeDelay <= 0 || next == nil {
-		return g.send(ctx, primary, body)
-	}
-	return resilience.Hedge(ctx, resilience.HedgeConfig{Delay: g.cfg.HedgeDelay, Clock: g.clock},
-		func(ctx context.Context, attempt int) (*proxyResult, error) {
-			b := primary
-			if attempt == 1 {
-				b = next
-				g.hedged.Add(1)
-			}
-			return g.send(ctx, b, body)
-		})
-}
-
 // outcomeKind labels how one client request ended, for the Stats
 // counters; deliver increments exactly one per answered request.
 type outcomeKind int
@@ -382,14 +362,14 @@ func (g *Gateway) deliver(w http.ResponseWriter, ans clientAnswer) {
 	_, _ = w.Write(ans.body)
 }
 
-// identify is the routing core: pick → forward → classify under one
-// shrinking deadline budget, rendered as a clientAnswer. ctx is the
-// client's own context on the unbatched path and a detached one for a
-// coalescing leader (followers are owed the answer even if the leading
-// client hangs up). When the routed backend runs an upstream batcher (the
-// batched data plane), the first attempt rides its micro-batch; any
-// failure there splits back to per-slot single relays, each retrying
-// under this request's own remaining budget.
+// identify is the routing core, and the gateway's one retry loop: pick →
+// send → classify under one shrinking deadline budget, rendered as a
+// clientAnswer. ctx is the client's own context on the unbatched path and
+// a detached one for a coalescing leader (followers are owed the answer
+// even if the leading client hangs up). When the routed backend runs an
+// upstream batcher (the batched data plane), the first attempt rides its
+// micro-batch; any failure there splits back to per-slot single relays,
+// each retrying under this request's own remaining budget.
 func (g *Gateway) identify(ctx context.Context, body *pooledBody, key uint64) clientAnswer {
 	budget := resilience.NewBudget(g.clock, g.cfg.RequestTimeout)
 	// The jitter stream is seeded per request content: deterministic for
@@ -408,27 +388,27 @@ func (g *Gateway) identify(ctx context.Context, body *pooledBody, key uint64) cl
 		if budget.Remaining() < g.cfg.MinAttempt {
 			break
 		}
-		primary, next := g.pick(key, tried)
-		if primary == nil && len(tried) > 0 {
+		b := g.pick(key, tried)
+		if b == nil && len(tried) > 0 {
 			// Every routable backend has been tried once: open the field
 			// for revisits rather than giving up with budget left.
 			tried = map[*backend]bool{}
-			primary, next = g.pick(key, tried)
+			b = g.pick(key, tried)
 		}
-		if primary == nil {
+		if b == nil {
 			break
 		}
-		tried[primary] = true
+		tried[b] = true
 		if attempt > 0 {
 			g.retried.Add(1)
 		}
 		attemptCtx, cancel := budget.Context(ctx)
 		var res *proxyResult
 		var err error
-		if attempt == 0 && primary.batcher != nil {
-			res, err = g.sendBatched(attemptCtx, primary, body)
+		if attempt == 0 && b.batcher != nil {
+			res, err = g.sendBatched(attemptCtx, b, body)
 		} else {
-			res, err = g.forward(attemptCtx, primary, next, body)
+			res, err = g.send(attemptCtx, b, body)
 		}
 		cancel()
 		if err == nil {

@@ -15,14 +15,12 @@ func bodyKey(body []byte) uint64 {
 	return h.Sum64()
 }
 
-// pick chooses the primary backend for key, and the next-ranked distinct
-// backend as the hedge candidate. Selection is rendezvous order filtered
-// to routable backends not yet tried this request, with a bounded-load
-// escape: the hash-preferred backend is skipped while it carries more
+// pick chooses the backend for key: rendezvous order filtered to
+// routable backends not yet tried this request, with a bounded-load
+// escape — the hash-preferred backend is skipped while it carries more
 // than LoadSlack requests above the least-loaded candidate, so affinity
-// never turns into a hot spot. Returns (nil, nil) when no candidate is
-// routable.
-func (g *Gateway) pick(key uint64, tried map[*backend]bool) (primary, hedge *backend) {
+// never turns into a hot spot. Returns nil when no candidate is routable.
+func (g *Gateway) pick(key uint64, tried map[*backend]bool) *backend {
 	now := g.clock.Now()
 	candidates := make([]*backend, 0, len(g.backends))
 	minInflight := int64(1<<63 - 1)
@@ -36,29 +34,19 @@ func (g *Gateway) pick(key uint64, tried map[*backend]bool) (primary, hedge *bac
 		}
 	}
 	if len(candidates) == 0 {
-		return nil, nil
+		return nil
 	}
 	sort.Slice(candidates, func(i, j int) bool {
 		return candidates[i].score(key) > candidates[j].score(key)
 	})
 	for _, b := range candidates {
 		if b.inflight.Load() <= minInflight+int64(g.cfg.LoadSlack) {
-			primary = b
-			break
+			return b
 		}
 	}
-	if primary == nil {
-		// Every candidate is above the load bound relative to a now-stale
-		// minimum (loads move while we rank); fall back to hash order.
-		primary = candidates[0]
-	}
-	for _, b := range candidates {
-		if b != primary {
-			hedge = b
-			break
-		}
-	}
-	return primary, hedge
+	// Every candidate is above the load bound relative to a now-stale
+	// minimum (loads move while we rank); fall back to hash order.
+	return candidates[0]
 }
 
 // retryAfterHint is the Retry-After the gateway reports when it sheds a

@@ -348,10 +348,7 @@ func (g *Gateway) classifySlot(b *backend, slot serve.BatchSlot, expected string
 		return upstreamResult{res: res}
 
 	case slot.Status == http.StatusTooManyRequests || slot.Status == http.StatusServiceUnavailable:
-		after := time.Duration(slot.RetryAfterSec) * time.Second
-		if after <= 0 {
-			after = time.Second
-		}
+		after := resilience.RetryAfterSeconds(slot.RetryAfterSec)
 		b.penalise(g.clock.Now(), after)
 		return upstreamResult{err: &spillError{res: res, after: after}}
 

@@ -1,7 +1,9 @@
 // Package resilience holds the failure-handling building blocks the
-// cluster tier composes: a circuit breaker with half-open probing, retry
-// with capped jittered backoff under a shrinking per-request deadline
-// budget, and hedged (tail-latency) duplicate requests.
+// gateway's routing loop composes: a circuit breaker with half-open
+// probing, capped jittered backoff, a shrinking per-request deadline
+// budget, and a Retry-After parser bounded on both sides. The loop itself
+// lives in the gateway (internal/gateway's identify), because what to do
+// after a failure depends on which backend answered how.
 //
 // Every primitive draws time from a Clock and randomness from a seeded
 // generator, mirroring internal/faults: the same (config, seed) pair
@@ -48,8 +50,8 @@ func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// FakeClock is a manually advanced clock. Sleepers park until Advance
-// moves the clock past their wake time; everything is ordered and
+// FakeClock is a manually advanced clock. A Sleep parks until Advance
+// moves the clock past its wake time; everything is ordered and
 // lock-protected, so tests that interleave goroutines with Advance are
 // race-free.
 type FakeClock struct {
@@ -111,37 +113,4 @@ func (c *FakeClock) Advance(d time.Duration) {
 	}
 	c.waiters = remaining
 	c.mu.Unlock()
-}
-
-// AdvanceToNext jumps the clock to the earliest parked sleeper's wake
-// time and wakes it, returning how far the clock moved (zero when nothing
-// is parked). Test drivers use it to release sleeps of unknown length
-// without overshooting other deadlines.
-func (c *FakeClock) AdvanceToNext() time.Duration {
-	c.mu.Lock()
-	if len(c.waiters) == 0 {
-		c.mu.Unlock()
-		return 0
-	}
-	earliest := c.waiters[0].at
-	for _, w := range c.waiters[1:] {
-		if w.at.Before(earliest) {
-			earliest = w.at
-		}
-	}
-	d := earliest.Sub(c.now)
-	if d < 0 {
-		d = 0
-	}
-	c.mu.Unlock()
-	c.Advance(d)
-	return d
-}
-
-// Sleepers reports how many goroutines are parked in Sleep — tests use it
-// to wait for a sleeper to arrive before advancing.
-func (c *FakeClock) Sleepers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
 }

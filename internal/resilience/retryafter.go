@@ -6,23 +6,40 @@ import (
 	"time"
 )
 
+// MaxRetryAfter caps every Retry-After wait. A backend asking for more
+// than an hour is sitting out longer than any probe or breaker cycle, and
+// the cap keeps now.Add(d) inside the range time.Time.UnixNano can
+// represent, so a hostile or garbled hint cannot wrap a penalty deadline
+// into the past.
+const MaxRetryAfter = time.Hour
+
+// RetryAfterSeconds turns a delta-seconds Retry-After into a wait within
+// [1s, MaxRetryAfter]. It is the one place a delta becomes a Duration, so
+// no caller multiplies untrusted seconds by time.Second itself.
+func RetryAfterSeconds(secs int64) time.Duration {
+	switch {
+	case secs < 1:
+		return time.Second
+	case secs >= int64(MaxRetryAfter/time.Second):
+		return MaxRetryAfter
+	}
+	return time.Duration(secs) * time.Second
+}
+
 // ParseRetryAfter reads an HTTP Retry-After value in either form RFC 9110
 // §10.2.3 allows: a non-negative decimal delta in seconds, or an HTTP-date
 // after which the client may retry. The date form is resolved against now,
 // so callers with a fake clock stay deterministic. Unparseable input, a
 // zero/negative delta and a date in the past all yield the 1s floor — a
 // server that answered 429/503 is telling us to go away, never to hammer
-// it immediately.
+// it immediately — and every answer is at most MaxRetryAfter.
 func ParseRetryAfter(v string, now time.Time) time.Duration {
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs > 0 {
-			return time.Duration(secs) * time.Second
-		}
-		return time.Second
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil {
+		return RetryAfterSeconds(secs)
 	}
 	if t, err := http.ParseTime(v); err == nil {
 		if d := t.Sub(now); d > time.Second {
-			return d
+			return min(d, MaxRetryAfter)
 		}
 		return time.Second
 	}

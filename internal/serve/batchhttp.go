@@ -58,9 +58,7 @@ func slotError(status int, format string, args ...any) BatchSlot {
 // what the i-th of N sequential /v1/identify calls would have returned, a
 // malformed slot included, while the transport cost (HTTP round trip,
 // headers, connection) is paid once. Admitted slots run on up to Workers
-// goroutines. The verdict cache is not consulted here: the batch endpoint
-// exists for gateways, which deduplicate upstream via in-flight coalescing
-// before the batch is ever assembled.
+// goroutines.
 func (s *Server) handleBatchIdentify(w http.ResponseWriter, r *http.Request) {
 	if s.adm.closed() {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")

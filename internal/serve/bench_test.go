@@ -111,40 +111,6 @@ func BenchmarkServeIdentify(b *testing.B) {
 			}
 		})
 	})
-
-	// The replay scenario: identical bodies against a verdict-cache-enabled
-	// server answer from the LRU without decoding or running the pipeline.
-	b.Run("cached", func(b *testing.B) {
-		cs, err := New(Config{Registry: reg, QueueDepth: 256, VerdictCache: 64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cs.Shutdown()
-		cts := httptest.NewServer(cs.Handler())
-		defer cts.Close()
-		client := cts.Client()
-		postCached := func() error {
-			resp, err := client.Post(cts.URL+"/v1/identify", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return err
-			}
-			defer func() { _ = resp.Body.Close() }()
-			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("status %d", resp.StatusCode)
-			}
-			return nil
-		}
-		if err := postCached(); err != nil { // populate the cache
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := postCached(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkDecodeSession measures the request decode every /v1/identify

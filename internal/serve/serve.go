@@ -22,7 +22,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -64,13 +63,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes bounds the request body (default 16 MiB).
 	MaxBodyBytes int64
-	// VerdictCache, when positive, enables the content-hash verdict cache
-	// with that many entries: requests whose raw trace bytes and active
-	// model version match a cached verdict are answered without decoding
-	// or running the pipeline. Off by default — it only pays when the
-	// workload replays identical captures (monitoring probes, load
-	// harnesses, gateway retries).
-	VerdictCache int
 }
 
 func (c Config) withDefaults() Config {
@@ -114,10 +106,6 @@ type Stats struct {
 	Shed     uint64 `json:"shed"`
 	Timeouts uint64 `json:"timeouts"`
 	Failed   uint64 `json:"failed"`
-	// CacheHits/CacheMisses count verdict-cache outcomes; both stay zero
-	// when the cache is disabled.
-	CacheHits   uint64 `json:"cacheHits"`
-	CacheMisses uint64 `json:"cacheMisses"`
 	// BatchSizes[i] counts admitted requests that carried i+1 captures: a
 	// /v1/identify request counts at index 0, a batch frame at the number
 	// of its slots that were admitted.
@@ -153,12 +141,6 @@ type Server struct {
 	// (len == MaxBatchSlots).
 	batchSizes []atomic.Uint64
 
-	// vcache is the optional content-hash verdict cache (nil when
-	// Config.VerdictCache is 0).
-	vcache      *verdictCache
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-
 	// holdSlot, when set (tests only), runs inside a request's pipeline
 	// slot before its pipeline — the hook tests use to keep slots busy
 	// deterministically.
@@ -180,9 +162,6 @@ func New(cfg Config) (*Server, error) {
 		batchSizes: make([]atomic.Uint64, MaxBatchSlots),
 	}
 	s.adm.limit, s.adm.drained = int64(cfg.QueueDepth+cfg.Workers), make(chan struct{})
-	if cfg.VerdictCache > 0 {
-		s.vcache = newVerdictCache(cfg.VerdictCache)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/identify", s.handleIdentify)
 	mux.HandleFunc("POST /v1/identify/batch", s.handleBatchIdentify)
@@ -200,13 +179,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Stats returns a snapshot of the request counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Served:      s.served.Load(),
-		Shed:        s.shed.Load(),
-		Timeouts:    s.timeouts.Load(),
-		Failed:      s.failed.Load(),
-		CacheHits:   s.cacheHits.Load(),
-		CacheMisses: s.cacheMisses.Load(),
-		BatchSizes:  make([]uint64, len(s.batchSizes)),
+		Served:     s.served.Load(),
+		Shed:       s.shed.Load(),
+		Timeouts:   s.timeouts.Load(),
+		Failed:     s.failed.Load(),
+		BatchSizes: make([]uint64, len(s.batchSizes)),
 	}
 	for i := range s.batchSizes {
 		st.BatchSizes[i] = s.batchSizes[i].Load()
@@ -348,9 +325,8 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	// Every body is read whole into a pooled buffer, so a replayed request
-	// can be answered by digest before paying the request decode, and so
-	// the decode below is the very one a batch slot gets.
+	// Every body is read whole into a pooled buffer, so the decode below
+	// is the very one a batch slot gets.
 	raw := rawBodyPool.Get().(*bytes.Buffer)
 	raw.Reset()
 	if _, err := raw.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
@@ -368,28 +344,6 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 	// outcome from here on, so a gateway can detect a stale backend
 	// without parsing bodies.
 	w.Header().Set(ModelVersionHeader, model.Version)
-	// The verdict cache keys on the raw request bytes plus the answering
-	// model's content hash, so a duplicate capture skips request decoding,
-	// trace decoding and the whole pipeline — and a hot-swap invalidates
-	// by construction: entries under the old version can never match again
-	// and age out of the LRU.
-	var vkey cacheKey
-	if s.vcache != nil {
-		vkey = cacheKey{digest: sha256.Sum256(raw.Bytes()), version: model.Version}
-		if det, ok := s.vcache.get(vkey); ok {
-			rawBodyPool.Put(raw)
-			s.cacheHits.Add(1)
-			s.served.Add(1)
-			writeJSONIntegrity(w, r, http.StatusOK, IdentifyResponse{
-				Material:     det.Material,
-				Omega:        det.Omega,
-				Confidence:   det.Confidence,
-				ModelVersion: model.Version,
-			})
-			return
-		}
-		s.cacheMisses.Add(1)
-	}
 	// The handler runs the pipeline itself, so once identify returns
 	// nothing references the session and the scratch recycles on every
 	// path, timeouts included.
@@ -418,9 +372,8 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, "%s", msg)
 		return
 	}
-	// Encode before choosing the status, and cache only what went out as
-	// a 200: a verdict that cannot be encoded is a failure, never an empty
-	// 200 or a cached one.
+	// Encode before choosing the status: a verdict that cannot be encoded
+	// is a failure, never an empty 200.
 	e, ok := encodeJSON(IdentifyResponse{
 		Material:     det.Material,
 		Omega:        det.Omega,
@@ -433,9 +386,6 @@ func (s *Server) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.served.Add(1)
-	if s.vcache != nil {
-		s.vcache.put(vkey, det)
-	}
 	e.send(w, r, http.StatusOK)
 }
 

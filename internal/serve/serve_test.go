@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -253,9 +252,8 @@ func TestHealthAndReady(t *testing.T) {
 	}
 }
 
-// TestIdentifyRejectsBadRequests pins the 400s, and that the verdict cache
-// does not change which bodies are accepted: a valid body followed by
-// trailing bytes is refused with the same answer whether it is on or off.
+// TestIdentifyRejectsBadRequests pins the 400s: malformed JSON, missing
+// or undecodable traces, and a valid body followed by trailing bytes.
 func TestIdentifyRejectsBadRequests(t *testing.T) {
 	fx := newFixture(t, []string{material.PureWater, material.Honey})
 	cases := []struct {
@@ -268,30 +266,22 @@ func TestIdentifyRejectsBadRequests(t *testing.T) {
 		{"garbage traces", `{"baseline":"QUJD","target":"QUJD"}`},
 		{"trailing bytes", string(encodeRequest(t, fx.sessions[0])) + "junk"},
 	}
-	answers := map[string]string{}
-	for _, cache := range []int{0, 4} {
-		s, err := New(Config{Registry: fx.registry, VerdictCache: cache})
+	s, err := New(Config{Registry: fx.registry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, tc := range cases {
+		resp, err := ts.Client().Post(ts.URL+"/v1/identify", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(s.Handler())
-		for _, tc := range cases {
-			resp, err := ts.Client().Post(ts.URL+"/v1/identify", "application/json", strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			_ = resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("cache=%d %s: status %d, want 400", cache, tc.name, resp.StatusCode)
-			}
-			if prev, ok := answers[tc.name]; ok && prev != string(body) {
-				t.Errorf("%s: the cache changed the answer from %q to %q", tc.name, prev, body)
-			}
-			answers[tc.name] = string(body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
-		ts.Close()
-		s.Shutdown()
 	}
 }
 
