@@ -105,13 +105,14 @@ race:
 # race-stress repeats, ten times under the race detector, the tests that
 # reach shared state from many goroutines at once: serve's admission count,
 # pipeline-slot semaphore and outcome counters, and the gateway's
-# concurrent routing — bounded-load spillover around a held backend, and
-# the batched, coalesced relay against the single one. One clean run of
-# concurrent code proves little. The gateway chaos test stays out: it is
+# concurrent routing — least-loaded placement around a held backend and
+# around a fast-failing one whose breaker is open, and the batched,
+# coalesced relay against the single one. One clean run of concurrent
+# code proves little. The gateway chaos test stays out: it is
 # load-sensitive when run alongside itself.
 race-stress:
 	go test -race -count=10 -run 'TestAdmissionBoundsAndCounters|TestShedsWith429WhenSaturated|TestShutdownDrainsAdmittedRequests|TestBatchedIdentifyMatchesSingleHTTP|TestBatchEndpointSlotsMatchSingleResponses' ./internal/serve
-	go test -race -count=10 -run '^(TestLoadSlackSpillsAroundHeldBackend|TestBatchedRelayBitIdentical)$$' ./internal/gateway
+	go test -race -count=10 -run '^(TestRoutesAroundHeldBackend|TestRoutesAroundFastFailingBackend|TestBatchedRelayBitIdentical)$$' ./internal/gateway
 
 # bench runs the full evaluation harness and writes a dated benchmark record
 # (per-experiment wall time + component microbenchmarks) for bench-compare.

@@ -1,10 +1,10 @@
-// wimi-gateway is the cluster front end for wimi-serve: it routes
-// /v1/identify across N backends with rendezvous-hash affinity and
-// bounded-load spillover, fails over around unhealthy backends (circuit
-// breakers + /readyz probes), retries under a per-request deadline
-// budget, honours backend Retry-After hints, verifies response
-// integrity end to end, and keeps the cluster converged on one model
-// digest by pushing /v1/reload at backends serving a stale sha256.
+// wimi-gateway is the cluster front end for wimi-serve: it routes each
+// /v1/identify to the backend with the fewest requests in flight, fails
+// over around unhealthy backends (circuit breakers + /readyz probes),
+// retries under a per-request deadline budget, honours backend
+// Retry-After hints, verifies response integrity end to end, and keeps
+// the cluster converged on one model digest by pushing /v1/reload at
+// backends serving a stale sha256.
 //
 // Cluster quickstart (1 gateway + 3 backends):
 //
@@ -65,7 +65,6 @@ func run(args []string, out *os.File) error {
 		probeInterval = fs.Duration("probe-interval", time.Second, "backend /readyz probe period")
 		deadline      = fs.Duration("deadline", 10*time.Second, "per-request deadline budget shared across retries")
 		retries       = fs.Int("retries", 3, "max attempts per request across backends")
-		loadSlack     = fs.Int("load-slack", 2, "in-flight requests above the least-loaded backend before affinity spills")
 		batchMax      = fs.Int("batch", 1, "aggregate up to this many concurrent requests per backend into one upstream batch call; >1 also coalesces identical in-flight requests (1 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -97,7 +96,6 @@ func run(args []string, out *os.File) error {
 		ProbeInterval:   *probeInterval,
 		RequestTimeout:  *deadline,
 		MaxAttempts:     *retries,
-		LoadSlack:       *loadSlack,
 		BatchMax:        *batchMax,
 		Backoff:         resilience.BackoffConfig{Jitter: resilience.JitterFull},
 		Logf:            logger.Printf,

@@ -20,11 +20,8 @@ type identifierModel struct {
 	Scaler   scalerModel   `json:"scaler"`
 	TrainX   [][]float64   `json:"train_x,omitempty"`
 	NNScale  float64       `json:"nn_scale,omitempty"`
-	// SVM holds the legacy v1 payload: the bare-JSON svm model embedded
-	// directly. Read-only for backward compatibility.
-	SVM json.RawMessage `json:"svm,omitempty"`
-	// SVMBlob holds the v2 payload: the framed svm model format
-	// (magic + version + CRC + training metadata), base64 inside JSON.
+	// SVMBlob holds the framed svm model format (magic + version + CRC +
+	// training metadata), base64 inside JSON.
 	SVMBlob []byte    `json:"svm_blob,omitempty"`
 	KNN     *knnModel `json:"knn,omitempty"`
 }
@@ -58,12 +55,9 @@ type knnModel struct {
 }
 
 // identifierModelVersion is bumped on breaking format changes. Version 2
-// embeds the svm ensemble in its framed checksummed format; version 1
-// (bare JSON) files remain readable.
+// embeds the svm ensemble in its framed checksummed format, and it is the
+// only version read: version 1 embedded bare JSON.
 const identifierModelVersion = 2
-
-// legacyIdentifierVersion is the pre-frame format.
-const legacyIdentifierVersion = 1
 
 // Save serialises a trained identifier (pipeline configuration, feature
 // scaler and classifier) as JSON, so a model trained once per room can be
@@ -130,7 +124,7 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("core: decoding identifier: %w", err)
 	}
-	if in.Version != identifierModelVersion && in.Version != legacyIdentifierVersion {
+	if in.Version != identifierModelVersion {
 		return nil, fmt.Errorf("core: unsupported identifier version %d", in.Version)
 	}
 	wavelet, err := dwt.ByName(in.Pipeline.Wavelet)
@@ -163,14 +157,10 @@ func LoadIdentifier(r io.Reader) (*Identifier, error) {
 	switch in.Kind {
 	case "svm":
 		cfg.Kind = ClassifierSVM
-		blob := in.SVMBlob
-		if len(blob) == 0 {
-			blob = []byte(in.SVM) // legacy v1 embeds bare JSON
-		}
-		if len(blob) == 0 {
+		if len(in.SVMBlob) == 0 {
 			return nil, fmt.Errorf("core: svm model missing payload")
 		}
-		model, err := svm.LoadMulticlass(bytes.NewReader(blob))
+		model, err := svm.LoadMulticlass(bytes.NewReader(in.SVMBlob))
 		if err != nil {
 			return nil, fmt.Errorf("core: loading svm: %w", err)
 		}

@@ -70,27 +70,35 @@ func TestIdentifierSaveLoadKNN(t *testing.T) {
 	}
 }
 
+// TestLoadIdentifierRejectsGarbage drives each of LoadIdentifier's checks
+// with a version 2 envelope that fails only that check, and pins that a
+// version 1 file, whose bare-JSON svm payload is no longer read, is
+// refused on its version.
 func TestLoadIdentifierRejectsGarbage(t *testing.T) {
-	if _, err := core.LoadIdentifier(strings.NewReader("nope")); err == nil {
-		t.Error("non-JSON should error")
-	}
-	if _, err := core.LoadIdentifier(strings.NewReader(`{"version":9}`)); err == nil {
-		t.Error("wrong version should error")
-	}
-	if _, err := core.LoadIdentifier(strings.NewReader(
-		`{"version":1,"kind":"oracle","pipeline":{"good_subcarriers":4,"wavelet":"db2","gamma_max":1,"ref_alpha":1,"ref_delta_beta":1},"scaler":{"mean":[0],"std":[1]}}`)); err == nil {
-		t.Error("unknown classifier kind should error")
-	}
-	if _, err := core.LoadIdentifier(strings.NewReader(
-		`{"version":1,"kind":"knn","pipeline":{"good_subcarriers":4,"wavelet":"db99","gamma_max":1,"ref_alpha":1,"ref_delta_beta":1},"scaler":{"mean":[0],"std":[1]}}`)); err == nil {
-		t.Error("unknown wavelet should error")
-	}
-	if _, err := core.LoadIdentifier(strings.NewReader(
-		`{"version":1,"kind":"knn","pipeline":{"good_subcarriers":4,"wavelet":"db2","gamma_max":1,"ref_alpha":1,"ref_delta_beta":1},"scaler":{"mean":[0],"std":[0]}}`)); err == nil {
-		t.Error("zero scaler std should error")
-	}
-	if _, err := core.LoadIdentifier(strings.NewReader(
-		`{"version":1,"kind":"knn","pipeline":{"good_subcarriers":4,"wavelet":"db2","gamma_max":1,"ref_alpha":1,"ref_delta_beta":1},"scaler":{"mean":[0],"std":[1]}}`)); err == nil {
-		t.Error("knn without payload should error")
+	const pipeline = `"pipeline":{"good_subcarriers":4,"wavelet":"db2","gamma_max":1,"ref_alpha":1,"ref_delta_beta":1}`
+	for _, tc := range []struct {
+		name, in, errWant string
+	}{
+		{"not JSON", "nope", "decoding identifier"},
+		{"unknown version", `{"version":9}`, "unsupported identifier version 9"},
+		{"version 1 refused", `{"version":1,"kind":"svm",` + pipeline + `,"scaler":{"mean":[0],"std":[1]},` +
+			`"svm":{"version":1,"classes":["a","b"],"pair_a":[0],"pair_b":[1],` +
+			`"models":[{"kernel":{"kind":"linear"},"vectors":[[1]],"coefs":[1],"bias":0}]}}`,
+			"unsupported identifier version 1"},
+		{"unknown classifier kind", `{"version":2,"kind":"oracle",` + pipeline + `,"scaler":{"mean":[0],"std":[1]}}`,
+			`unknown classifier kind "oracle"`},
+		{"unknown wavelet", `{"version":2,"kind":"knn","pipeline":{"good_subcarriers":4,"wavelet":"db99","gamma_max":1,"ref_alpha":1,"ref_delta_beta":1},"scaler":{"mean":[0],"std":[1]}}`,
+			`unknown wavelet "db99"`},
+		{"zero scaler std", `{"version":2,"kind":"knn",` + pipeline + `,"scaler":{"mean":[0],"std":[0]}}`,
+			"loaded scaler invalid"},
+		{"knn without payload", `{"version":2,"kind":"knn",` + pipeline + `,"scaler":{"mean":[0],"std":[1]}}`,
+			"knn model missing payload"},
+		{"svm without payload", `{"version":2,"kind":"svm",` + pipeline + `,"scaler":{"mean":[0],"std":[1]}}`,
+			"svm model missing payload"},
+	} {
+		_, err := core.LoadIdentifier(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.errWant) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.errWant)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package filter
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mathx"
@@ -114,12 +115,12 @@ func TestFiltFiltZeroPhase(t *testing.T) {
 	if len(y) != n {
 		t.Fatalf("length changed: %d", len(y))
 	}
-	if peak := mathx.ArgMax(y); peak < 126 || peak > 130 {
+	if peak := slices.Index(y, slices.Max(y)); peak < 126 || peak > 130 {
 		t.Errorf("peak moved to %d, want ≈128 (zero phase)", peak)
 	}
 	// Causal Apply, by contrast, delays the peak.
 	yc := bw.Apply(x)
-	if peak := mathx.ArgMax(yc); peak <= 128 {
+	if peak := slices.Index(yc, slices.Max(yc)); peak <= 128 {
 		t.Errorf("causal filter should delay the peak, got %d", peak)
 	}
 }

@@ -3,7 +3,6 @@ package gateway
 import (
 	"context"
 	"encoding/json"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
@@ -19,7 +18,6 @@ import (
 // everything mutable is atomic; the breaker has its own lock.
 type backend struct {
 	url     string
-	urlHash uint64
 	breaker *resilience.Breaker
 
 	inflight atomic.Int64
@@ -41,29 +39,13 @@ type backend struct {
 }
 
 func newBackend(base string, cfg Config) *backend {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, base)
 	br := cfg.Breaker
 	br.Clock = cfg.Clock
-	b := &backend{url: base, urlHash: h.Sum64(), breaker: resilience.NewBreaker(br)}
+	b := &backend{url: base, breaker: resilience.NewBreaker(br)}
 	empty := ""
 	b.version.Store(&empty)
 	b.lastErr.Store(&empty)
 	return b
-}
-
-// score ranks this backend for a request key: rendezvous (highest random
-// weight) hashing via a splitmix64 finaliser over key⊕urlHash. Every
-// gateway computes the same ranking, and removing a backend only moves
-// the keys that backend owned.
-func (b *backend) score(key uint64) uint64 {
-	x := key ^ b.urlHash
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }
 
 // penalised reports whether a Retry-After routing penalty is active.
@@ -85,9 +67,9 @@ func (b *backend) penalise(now time.Time, d time.Duration) {
 // routable reports whether the router may consider this backend: probes
 // say alive and ready, the model digest matches the cluster's expected
 // version, and no Retry-After penalty is running. The circuit breaker is
-// deliberately NOT consulted here — admission through Allow happens at
-// send time, because Allow is also the transition that half-opens a
-// cooled-down breaker.
+// not part of it: pick asks it read-only, and admission through Allow
+// happens at send time, because Allow is also the transition that
+// half-opens a cooled-down breaker.
 func (b *backend) routable(now time.Time) bool {
 	return b.healthy.Load() && b.ready.Load() && !b.stale.Load() && !b.penalised(now)
 }

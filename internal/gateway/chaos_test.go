@@ -236,7 +236,6 @@ func TestChaosClusterKeepsAnswering(t *testing.T) {
 		RequestTimeout:  3 * time.Second,
 		MaxAttempts:     4,
 		Backoff:         resilience.BackoffConfig{Initial: 10 * time.Millisecond, Max: 100 * time.Millisecond},
-		LoadSlack:       2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -492,7 +492,6 @@ func TestBatchPartialFailureSplitsPerSlot(t *testing.T) {
 	healthy := newFakeBackend(t, "sha256:aaa", "water")
 	g, ts := newTestGateway(t, Config{
 		BatchMax:    4,
-		LoadSlack:   100,
 		MaxAttempts: 4,
 	}, flaky, healthy)
 	waitRoutable(t, g, 2)

@@ -3,11 +3,10 @@
 // answering while individual backends fail — degraded if it must, wrong
 // never:
 //
-//   - Placement is rendezvous hashing on the request body with a
-//     bounded-load escape hatch: the same measurement session lands on
-//     the same backend (warm pipeline pools, reproducible answers) until
-//     that backend is meaningfully busier than its peers, then the
-//     request spills to the next backend in hash order.
+//   - Placement is by load: each request goes to the backend with the
+//     fewest requests in flight among those that are routable and whose
+//     breaker admits it, the first in configuration order on a tie, so a
+//     slow backend's climbing in-flight count routes new work around it.
 //   - Health comes from the backends' own /readyz probes plus a circuit
 //     breaker per backend; failed requests retry on other backends under
 //     one shrinking deadline budget (internal/resilience), so retries
@@ -39,7 +38,7 @@ import (
 )
 
 // BackendHeader names the backend that answered a relayed response —
-// observability for operators, affinity assertions for tests.
+// observability for operators, placement assertions for tests.
 const BackendHeader = "X-Wimi-Backend"
 
 // Config parameterises the gateway. Backends is required; the zero value
@@ -66,15 +65,12 @@ type Config struct {
 	// with (default 5ms).
 	MinAttempt time.Duration
 	// Backoff shapes the inter-attempt delays after hard failures
-	// (defaults: 25ms initial, 250ms max, full jitter).
+	// (defaults: 25ms initial, 250ms max, full jitter). Every request
+	// draws from the gateway's one jitter stream.
 	Backoff resilience.BackoffConfig
 	// Breaker parameterises the per-backend circuit breakers (defaults:
 	// 3 consecutive failures trip, 2s cool-down, 1 half-open probe).
 	Breaker resilience.BreakerConfig
-	// LoadSlack is how many in-flight requests above the least-loaded
-	// backend the hash-preferred backend may carry before the request
-	// spills to the next in hash order (default 2).
-	LoadSlack int
 	// BatchMax, when > 1, turns on the batched data plane: concurrent
 	// client requests routed to the same backend aggregate into one
 	// upstream POST /v1/identify/batch of up to BatchMax slots, and
@@ -124,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Breaker.OpenFor <= 0 {
 		c.Breaker.OpenFor = 2 * time.Second
-	}
-	if c.LoadSlack <= 0 {
-		c.LoadSlack = 2
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 1
@@ -179,10 +172,11 @@ type Stats struct {
 
 // Gateway is the cluster front end.
 type Gateway struct {
-	cfg    Config
-	clock  resilience.Clock
-	client *http.Client
-	mux    *http.ServeMux
+	cfg     Config
+	clock   resilience.Clock
+	backoff *resilience.Backoff
+	client  *http.Client
+	mux     *http.ServeMux
 
 	backends []*backend
 	expected atomic.Pointer[string]
@@ -220,6 +214,7 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:      cfg,
 		clock:    cfg.Clock,
+		backoff:  resilience.NewBackoff(cfg.Backoff),
 		stop:     make(chan struct{}),
 		inflight: map[coalesceKey]*inflightCall{},
 	}

@@ -2,8 +2,6 @@ package gateway
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -163,6 +161,19 @@ func postIdentify(t *testing.T, ts *httptest.Server, body string) (*http.Respons
 		t.Fatal(err)
 	}
 	return resp, b
+}
+
+// postStatus posts one identify from any goroutine and returns the
+// status and the answering backend; a transport error reads as status -1
+// with the error as the backend.
+func postStatus(ts *httptest.Server, body string) (int, string) {
+	resp, err := http.Post(ts.URL+"/v1/identify", "application/json", strings.NewReader(body))
+	if err != nil {
+		return -1, err.Error()
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get(BackendHeader)
 }
 
 func TestProxiesVerifiedAnswer(t *testing.T) {
@@ -339,7 +350,8 @@ func TestSpilloverOn429HonoursPenalty(t *testing.T) {
 		}
 	}
 	// The full backend is penalised for 30s after its first 429: it may
-	// see at most one identify (whichever request hashed to it first).
+	// see at most one identify (the first request's, as it is first in
+	// order and both backends are idle).
 	if n := full.identifies.Load(); n > 1 {
 		t.Errorf("penalised backend saw %d identifies, want ≤1", n)
 	}
@@ -491,47 +503,119 @@ func TestStaleBackendExcludedAndConverges(t *testing.T) {
 	waitRoutable(t, g, 2)
 }
 
-func TestAffinitySameBodySameBackend(t *testing.T) {
-	t.Cleanup(testutil.LeakCheck(t, 3))
-	a := newFakeBackend(t, "sha256:aaa", "water")
-	b := newFakeBackend(t, "sha256:aaa", "water")
-	c := newFakeBackend(t, "sha256:aaa", "water")
-	g, ts := newTestGateway(t, Config{LoadSlack: 100}, a, b, c)
-	waitRoutable(t, g, 3)
-	owners := map[string]string{}
-	for round := 0; round < 5; round++ {
-		for i := 0; i < 8; i++ {
-			body := fmt.Sprintf(`{"session":%d}`, i)
-			resp, respBody := postIdentify(t, ts, body)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d, body %s", resp.StatusCode, respBody)
-			}
-			owner := resp.Header.Get(BackendHeader)
-			if prev, ok := owners[body]; ok && prev != owner {
-				t.Fatalf("body %s moved from %s to %s with stable cluster", body, prev, owner)
-			}
-			owners[body] = owner
+// backendURL names a pick result in failure messages.
+func backendURL(b *backend) string {
+	if b == nil {
+		return "none"
+	}
+	return b.url
+}
+
+// TestPickLeastLoaded pins the routing rule on a fake clock: the fewest
+// requests in flight win, a tie goes to the first backend in
+// configuration order, and tried, unhealthy, unready, stale and
+// penalised backends are skipped. pick never changes a breaker's state.
+func TestPickLeastLoaded(t *testing.T) {
+	clk := resilience.NewFakeClock()
+	cfg := Config{Clock: clk}.withDefaults()
+	g := &Gateway{cfg: cfg, clock: clk}
+	for i := 0; i < 3; i++ {
+		g.backends = append(g.backends, newBackend(fmt.Sprintf("http://backend%d", i), cfg))
+	}
+	b0, b1, b2 := g.backends[0], g.backends[1], g.backends[2]
+	for _, tc := range []struct {
+		name     string
+		inflight [3]int64
+		off      func() // takes backends out of routing
+		tried    []*backend
+		want     *backend
+	}{
+		{"fewest in flight wins", [3]int64{2, 1, 3}, nil, nil, b1},
+		{"all idle: the first in order", [3]int64{}, nil, nil, b0},
+		{"a tie goes to the first in order", [3]int64{4, 1, 1}, nil, nil, b1},
+		{"tried skipped", [3]int64{0, 5, 1}, nil, []*backend{b0}, b2},
+		{"all tried", [3]int64{}, nil, []*backend{b2, b0, b1}, nil},
+		{"unhealthy skipped", [3]int64{0, 2, 1}, func() { b0.healthy.Store(false) }, nil, b2},
+		{"unready skipped", [3]int64{0, 2, 1}, func() { b0.ready.Store(false) }, nil, b2},
+		{"stale skipped", [3]int64{0, 2, 1}, func() { b0.stale.Store(true) }, nil, b2},
+		{"penalised skipped", [3]int64{0, 2, 1}, func() { b0.penalise(clk.Now(), time.Second) }, nil, b2},
+		{"none routable", [3]int64{}, func() {
+			b0.stale.Store(true)
+			b1.ready.Store(false)
+			b2.penalise(clk.Now(), time.Second)
+		}, nil, nil},
+	} {
+		for i, b := range g.backends {
+			b.healthy.Store(true)
+			b.ready.Store(true)
+			b.stale.Store(false)
+			b.penaltyUntil.Store(0)
+			b.inflight.Store(tc.inflight[i])
 		}
-	}
-	// 8 distinct sessions over 3 backends: placement should use >1 backend.
-	distinct := map[string]bool{}
-	for _, o := range owners {
-		distinct[o] = true
-	}
-	if len(distinct) < 2 {
-		t.Errorf("all %d sessions landed on one backend; rendezvous not spreading", len(owners))
+		if tc.off != nil {
+			tc.off()
+		}
+		if got := g.pick(tc.tried); got != tc.want {
+			t.Errorf("%s: picked %s, want %s", tc.name, backendURL(got), backendURL(tc.want))
+		}
+		for _, b := range g.backends {
+			if st := b.breaker.State(); st != resilience.BreakerClosed {
+				t.Errorf("%s: pick moved %s's breaker to %v", tc.name, b.url, st)
+			}
+		}
 	}
 }
 
-// TestLoadSlackSpillsAroundHeldBackend pins the slow-backend defence that
-// needs no duplicate work: bounded-load spillover. One backend holds every
-// identify until released. With the default LoadSlack it carries exactly
-// LoadSlack+1 of the requests that hash to it (its in-flight count may
-// exceed its idle peer's by LoadSlack), and every request beyond that
-// spills to the peer on its first attempt and answers 200 while the held
-// backend still holds. The batched data plane counts a call queued for a
-// flush as in flight, so the bound is the same at BatchMax 8.
-func TestLoadSlackSpillsAroundHeldBackend(t *testing.T) {
+// TestPickSkipsOpenBreaker pins the breaker rule on a fake clock: a
+// backend whose breaker is open and cooling is skipped, however idle it
+// is; once the cool-down has passed it is picked again, and its breaker
+// stays open — the Allow at send time, not pick, half-opens it. With its
+// one half-open probe out, it is skipped again.
+func TestPickSkipsOpenBreaker(t *testing.T) {
+	clk := resilience.NewFakeClock()
+	cfg := Config{Clock: clk, Breaker: resilience.BreakerConfig{FailureThreshold: 1, OpenFor: time.Second}}.withDefaults()
+	g := &Gateway{cfg: cfg, clock: clk}
+	for i := 0; i < 2; i++ {
+		b := newBackend(fmt.Sprintf("http://backend%d", i), cfg)
+		b.healthy.Store(true)
+		b.ready.Store(true)
+		g.backends = append(g.backends, b)
+	}
+	b0, b1 := g.backends[0], g.backends[1]
+	b1.inflight.Store(3)
+	if err := b0.breaker.Allow(); err != nil {
+		t.Fatal(err)
+	}
+	b0.breaker.Record(false) // trips
+	check := func(step string, want *backend, state resilience.BreakerState) {
+		t.Helper()
+		if got := g.pick(nil); got != want {
+			t.Errorf("%s: picked %s, want %s", step, backendURL(got), backendURL(want))
+		}
+		if st := b0.breaker.State(); st != state {
+			t.Errorf("%s: breaker %v after pick, want %v", step, st, state)
+		}
+	}
+	check("open, cooling", b1, resilience.BreakerOpen)
+	clk.Advance(time.Second - time.Nanosecond)
+	check("a nanosecond before the cool-down ends", b1, resilience.BreakerOpen)
+	clk.Advance(time.Nanosecond)
+	check("cooled down", b0, resilience.BreakerOpen)
+	if err := b0.breaker.Allow(); err != nil {
+		t.Fatal(err)
+	}
+	check("half-open, probe out", b1, resilience.BreakerHalfOpen)
+}
+
+// TestRoutesAroundHeldBackend pins the slow-backend defence: least-loaded
+// placement. The first backend in configuration order holds every
+// identify until released. The first request finds both backends idle
+// and goes to it; every later one, sent once the previous one is held or
+// answered, finds it busier than its idle peer and answers 200 from the
+// peer on its first attempt while the backend holds. The batched data
+// plane counts a call queued for a flush as in flight, so the same holds
+// at BatchMax 8.
+func TestRoutesAroundHeldBackend(t *testing.T) {
 	for _, batchMax := range []int{1, 8} {
 		t.Run(fmt.Sprintf("batch=%d", batchMax), func(t *testing.T) {
 			t.Cleanup(testutil.LeakCheck(t, 3))
@@ -553,43 +637,21 @@ func TestLoadSlackSpillsAroundHeldBackend(t *testing.T) {
 			g, ts := newTestGateway(t, Config{BatchMax: batchMax}, held, peer)
 			waitRoutable(t, g, 2)
 
-			// Distinct bodies whose rendezvous owner is the held backend, keyed
-			// as each data plane keys them.
-			key := func(body string) uint64 {
-				if batchMax > 1 {
-					d := sha256.Sum256([]byte(body))
-					return binary.LittleEndian.Uint64(d[:8])
-				}
-				return bodyKey([]byte(body))
-			}
-			var bodies []string
-			for i := 0; len(bodies) < 8; i++ {
-				body := fmt.Sprintf(`{"i":%d}`, i)
-				if k := key(body); g.backends[0].score(k) > g.backends[1].score(k) {
-					bodies = append(bodies, body)
-				}
-			}
-
-			type reply struct {
+			type routed struct {
 				status  int
 				backend string
 			}
-			replies := make(chan reply, len(bodies))
-			var answered []reply
+			const requests = 8
+			replies := make(chan routed, requests)
+			var answered []routed
 			// Send one at a time, each once the previous one is held or
 			// answered, so every pick sees settled in-flight counts; the held
-			// requests stay in flight throughout.
-			for i, body := range bodies {
+			// request stays in flight throughout.
+			for i := 0; i < requests; i++ {
 				heldBefore := held.identifies.Load()
 				go func() {
-					resp, err := http.Post(ts.URL+"/v1/identify", "application/json", strings.NewReader(body))
-					if err != nil {
-						replies <- reply{status: -1, backend: err.Error()}
-						return
-					}
-					_, _ = io.Copy(io.Discard, resp.Body)
-					_ = resp.Body.Close()
-					replies <- reply{resp.StatusCode, resp.Header.Get(BackendHeader)}
+					status, backend := postStatus(ts, fmt.Sprintf(`{"i":%d}`, i))
+					replies <- routed{status, backend}
 				}()
 				deadline := time.Now().Add(5 * time.Second)
 			wait:
@@ -606,27 +668,94 @@ func TestLoadSlackSpillsAroundHeldBackend(t *testing.T) {
 				}
 			}
 
-			want := int64(g.cfg.LoadSlack) + 1
-			if n := held.identifies.Load(); n != want {
-				t.Errorf("held backend carries %d requests, want LoadSlack+1 = %d", n, want)
+			if n := held.identifies.Load(); n != 1 {
+				t.Errorf("held backend carries %d requests, want 1", n)
 			}
-			if len(answered) != len(bodies)-int(want) {
-				t.Errorf("%d of %d requests answered while the backend was held, want %d", len(answered), len(bodies), len(bodies)-int(want))
+			if len(answered) != requests-1 {
+				t.Errorf("%d of %d requests answered while the backend was held, want %d", len(answered), requests, requests-1)
 			}
 			for _, r := range answered {
 				if r.status != http.StatusOK || r.backend != peer.url() {
-					t.Errorf("spilled request answered %d by %q, want 200 by the peer %s", r.status, r.backend, peer.url())
+					t.Errorf("request answered %d by %q while the backend was held, want 200 by the peer %s", r.status, r.backend, peer.url())
 				}
 			}
 			if n := g.Stats().Retried; n != 0 {
-				t.Errorf("retried %d: spillover is placement, not a retry after failure", n)
+				t.Errorf("retried %d: routing around load is placement, not a retry after failure", n)
 			}
 
 			unblock()
-			for i := 0; i < len(bodies)-len(answered); i++ {
+			for i := len(answered); i < requests; i++ {
 				if r := <-replies; r.status != http.StatusOK || r.backend != held.url() {
 					t.Errorf("released request answered %d by %q, want 200 by the held backend %s", r.status, r.backend, held.url())
 				}
+			}
+		})
+	}
+}
+
+// TestRoutesAroundFastFailingBackend pins the breaker half of the routing
+// rule. The first backend in configuration order answers 500 at once, so
+// it is always the least loaded; the other two hold each identify 30 ms.
+// It takes the first FailureThreshold requests, one each, and trips its
+// breaker; from then on pick skips it while it cools instead of spending
+// each later request's first attempt on ErrBreakerOpen. Every request is
+// sent once the previous one has reached a holding backend, so each pick
+// sees every failure recorded before it. OpenFor outlasts the test, so no
+// half-open probe lands.
+func TestRoutesAroundFastFailingBackend(t *testing.T) {
+	for _, batchMax := range []int{1, 8} {
+		t.Run(fmt.Sprintf("batch=%d", batchMax), func(t *testing.T) {
+			t.Cleanup(testutil.LeakCheck(t, 3))
+			failing := newFakeBackend(t, "sha256:aaa", "water")
+			failing.setIdentify(func(w http.ResponseWriter, r *http.Request) bool {
+				w.WriteHeader(http.StatusInternalServerError)
+				return true
+			})
+			hold := func(w http.ResponseWriter, r *http.Request) bool {
+				select {
+				case <-time.After(30 * time.Millisecond):
+				case <-r.Context().Done():
+					return true
+				}
+				writeIdentifyOK(w, "water", "sha256:aaa")
+				return true
+			}
+			slowA := newFakeBackend(t, "sha256:aaa", "water")
+			slowA.setIdentify(hold)
+			slowB := newFakeBackend(t, "sha256:aaa", "water")
+			slowB.setIdentify(hold)
+			g, ts := newTestGateway(t, Config{
+				BatchMax: batchMax,
+				Breaker:  resilience.BreakerConfig{OpenFor: time.Minute},
+			}, failing, slowA, slowB)
+			waitRoutable(t, g, 3)
+
+			const requests = 60
+			statuses := make(chan int, requests)
+			for i := 0; i < requests; i++ {
+				go func() {
+					status, _ := postStatus(ts, fmt.Sprintf(`{"i":%d}`, i))
+					statuses <- status
+				}()
+				deadline := time.Now().Add(5 * time.Second)
+				for slowA.identifies.Load()+slowB.identifies.Load() <= int64(i) {
+					if time.Now().After(deadline) {
+						t.Fatalf("request %d never reached a holding backend", i)
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			for i := 0; i < requests; i++ {
+				if s := <-statuses; s != http.StatusOK {
+					t.Errorf("status %d, want 200", s)
+				}
+			}
+			threshold := g.cfg.Breaker.FailureThreshold
+			if n := failing.identifies.Load(); n != int64(threshold) {
+				t.Errorf("failing backend saw %d identifies, want FailureThreshold = %d", n, threshold)
+			}
+			if n := g.Stats().Retried; n != uint64(threshold) {
+				t.Errorf("retried %d, want FailureThreshold = %d: one retry per failed first attempt", n, threshold)
 			}
 		})
 	}

@@ -370,35 +370,29 @@ func (g *Gateway) deliver(w http.ResponseWriter, ans clientAnswer) {
 // upstream batcher (the batched data plane), the first attempt rides its
 // micro-batch; any failure there splits back to per-slot single relays,
 // each retrying under this request's own remaining budget.
-func (g *Gateway) identify(ctx context.Context, body *pooledBody, key uint64) clientAnswer {
+func (g *Gateway) identify(ctx context.Context, body *pooledBody) clientAnswer {
 	budget := resilience.NewBudget(g.clock, g.cfg.RequestTimeout)
-	// The jitter stream is seeded per request content: deterministic for
-	// a given request, decorrelated across a burst of different ones.
-	boCfg := g.cfg.Backoff
-	boCfg.Seed ^= int64(key)
-	if boCfg.Seed == 0 {
-		boCfg.Seed = 1
-	}
-	bo := resilience.NewBackoff(boCfg)
-
-	tried := map[*backend]bool{}
+	// The backends this request has tried; the array keeps up to 8 of
+	// them off the heap.
+	var triedBuf [8]*backend
+	tried := triedBuf[:0]
 	sawSpill := false
 	var lastErr error
 	for attempt := 0; attempt < g.cfg.MaxAttempts; attempt++ {
 		if budget.Remaining() < g.cfg.MinAttempt {
 			break
 		}
-		b := g.pick(key, tried)
+		b := g.pick(tried)
 		if b == nil && len(tried) > 0 {
 			// Every routable backend has been tried once: open the field
 			// for revisits rather than giving up with budget left.
-			tried = map[*backend]bool{}
-			b = g.pick(key, tried)
+			tried = tried[:0]
+			b = g.pick(tried)
 		}
 		if b == nil {
 			break
 		}
-		tried[b] = true
+		tried = append(tried, b)
 		if attempt > 0 {
 			g.retried.Add(1)
 		}
@@ -438,7 +432,7 @@ func (g *Gateway) identify(ctx context.Context, body *pooledBody, key uint64) cl
 		if attempt == g.cfg.MaxAttempts-1 {
 			break
 		}
-		wait := bo.Delay(attempt)
+		wait := g.backoff.Delay(attempt)
 		if wait+g.cfg.MinAttempt > budget.Remaining() {
 			break
 		}
@@ -456,7 +450,7 @@ func (g *Gateway) identify(ctx context.Context, body *pooledBody, key uint64) cl
 			"all backends at capacity, retry later")
 	}
 	if lastErr == nil {
-		lastErr = errors.New("no routable backend")
+		lastErr = errors.New("no routable backend whose breaker admits the request")
 	}
 	return errorAnswer(outcomeFailed, http.StatusServiceUnavailable, ra,
 		"no backend could answer: %v", lastErr)
@@ -485,7 +479,7 @@ func (g *Gateway) handleIdentify(w http.ResponseWriter, r *http.Request) {
 		g.identifyCoalesced(w, r, pb)
 		return
 	}
-	ans := g.identify(r.Context(), pb, bodyKey(pb.bytes()))
+	ans := g.identify(r.Context(), pb)
 	g.deliver(w, ans)
 }
 

@@ -1,52 +1,28 @@
 package gateway
 
 import (
-	"hash/fnv"
-	"sort"
+	"slices"
 	"time"
 )
 
-// bodyKey names a request by content: identical measurement sessions
-// hash to the same key and therefore prefer the same backend, keeping
-// that backend's pipeline pools warm for the session's shape.
-func bodyKey(body []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	return h.Sum64()
-}
-
-// pick chooses the backend for key: rendezvous order filtered to
-// routable backends not yet tried this request, with a bounded-load
-// escape — the hash-preferred backend is skipped while it carries more
-// than LoadSlack requests above the least-loaded candidate, so affinity
-// never turns into a hot spot. Returns nil when no candidate is routable.
-func (g *Gateway) pick(key uint64, tried map[*backend]bool) *backend {
+// pick returns the backend with the fewest requests in flight among those
+// that are routable, not in tried, and admitted by their breaker right
+// now; a tie goes to the first in configuration order. The breaker check
+// is read-only (Admits): the open→half-open transition stays with the
+// Allow at send time. Returns nil when no backend qualifies.
+func (g *Gateway) pick(tried []*backend) *backend {
 	now := g.clock.Now()
-	candidates := make([]*backend, 0, len(g.backends))
-	minInflight := int64(1<<63 - 1)
+	var best *backend
+	var bestLoad int64
 	for _, b := range g.backends {
-		if tried[b] || !b.routable(now) {
+		if slices.Contains(tried, b) || !b.routable(now) || !b.breaker.Admits() {
 			continue
 		}
-		candidates = append(candidates, b)
-		if n := b.inflight.Load(); n < minInflight {
-			minInflight = n
+		if n := b.inflight.Load(); best == nil || n < bestLoad {
+			best, bestLoad = b, n
 		}
 	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	sort.Slice(candidates, func(i, j int) bool {
-		return candidates[i].score(key) > candidates[j].score(key)
-	})
-	for _, b := range candidates {
-		if b.inflight.Load() <= minInflight+int64(g.cfg.LoadSlack) {
-			return b
-		}
-	}
-	// Every candidate is above the load bound relative to a now-stale
-	// minimum (loads move while we rank); fall back to hash order.
-	return candidates[0]
+	return best
 }
 
 // retryAfterHint is the Retry-After the gateway reports when it sheds a

@@ -27,7 +27,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -94,7 +93,7 @@ func (g *Gateway) sendBatched(ctx context.Context, b *backend, body *pooledBody)
 	call := &upstreamCall{ctx: ctx, body: body, done: make(chan upstreamResult, 1)}
 	body.retain() // the flush's reference; released by flushBatch
 	// A call queued behind the in-flight flushes is load on b as much as
-	// one on the wire, so LoadSlack spillover counts it; flushBatch hands
+	// one on the wire, so least-loaded routing counts it; flushBatch hands
 	// the count back once a dispatcher takes the call.
 	b.inflight.Add(1)
 	if b.batcher.Submit(call) != nil {
@@ -386,8 +385,7 @@ type inflightCall struct {
 // hangs up — but still bounded by the request deadline budget. The
 // handler's own reference on body is released by handleIdentify's defer.
 func (g *Gateway) identifyCoalesced(w http.ResponseWriter, r *http.Request, body *pooledBody) {
-	digest := sha256.Sum256(body.bytes())
-	ck := coalesceKey{digest: digest, version: g.ExpectedVersion()}
+	ck := coalesceKey{digest: sha256.Sum256(body.bytes()), version: g.ExpectedVersion()}
 
 	g.cmu.Lock()
 	if c := g.inflight[ck]; c != nil {
@@ -406,10 +404,7 @@ func (g *Gateway) identifyCoalesced(w http.ResponseWriter, r *http.Request, body
 	g.inflight[ck] = c
 	g.cmu.Unlock()
 
-	// The routing key reuses the digest already paid for, keeping the
-	// rendezvous affinity property (same body → same backend).
-	key := binary.LittleEndian.Uint64(digest[:8])
-	ans := g.identify(context.Background(), body, key)
+	ans := g.identify(context.Background(), body)
 
 	g.cmu.Lock()
 	delete(g.inflight, ck)

@@ -103,14 +103,3 @@ func LinearArray(center Point, n int, spacing float64, normal Point) ([]Point, e
 	}
 	return out, nil
 }
-
-// FresnelRadius returns the first Fresnel zone radius at a point dividing a
-// link of total length d1+d2 (both from the point to each endpoint), at
-// wavelength lambda: sqrt(λ·d1·d2/(d1+d2)). This governs how much of the
-// link energy a target of a given size can intercept.
-func FresnelRadius(lambda, d1, d2 float64) float64 {
-	if d1 <= 0 || d2 <= 0 || lambda <= 0 {
-		return 0
-	}
-	return math.Sqrt(lambda * d1 * d2 / (d1 + d2))
-}

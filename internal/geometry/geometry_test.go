@@ -163,17 +163,6 @@ func TestLinearArrayErrors(t *testing.T) {
 	}
 }
 
-func TestFresnelRadius(t *testing.T) {
-	// Mid-point of a 2 m link at λ = 5.63 cm: r = sqrt(λ·1·1/2) ≈ 0.168 m.
-	got := FresnelRadius(0.0563, 1, 1)
-	if !mathx.AlmostEqual(got, math.Sqrt(0.0563/2), 1e-9) {
-		t.Errorf("Fresnel radius = %v", got)
-	}
-	if FresnelRadius(0.05, 0, 1) != 0 {
-		t.Error("degenerate link should return 0")
-	}
-}
-
 func TestAntennaChordsDiffer(t *testing.T) {
 	// The physical core of the paper's feature: different receive antennas
 	// see different in-target path lengths D1 ≠ D2 for an off-axis target.

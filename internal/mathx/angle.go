@@ -16,15 +16,6 @@ func WrapAngle(a float64) float64 {
 	return w
 }
 
-// WrapAngle2Pi maps an angle in radians to [0, 2π).
-func WrapAngle2Pi(a float64) float64 {
-	w := math.Mod(a, 2*math.Pi)
-	if w < 0 {
-		w += 2 * math.Pi
-	}
-	return w
-}
-
 // AngleDiff returns the signed minimal difference a-b wrapped to [-π, π).
 func AngleDiff(a, b float64) float64 {
 	return WrapAngle(a - b)

@@ -45,22 +45,6 @@ func TestWrapAngleRangeProperty(t *testing.T) {
 	}
 }
 
-func TestWrapAngle2Pi(t *testing.T) {
-	tests := []struct {
-		in, want float64
-	}{
-		{0, 0},
-		{-math.Pi / 2, 3 * math.Pi / 2},
-		{5 * math.Pi / 2, math.Pi / 2},
-		{2 * math.Pi, 0},
-	}
-	for _, tt := range tests {
-		if got := WrapAngle2Pi(tt.in); !AlmostEqual(got, tt.want, 1e-12) {
-			t.Errorf("WrapAngle2Pi(%v) = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-}
-
 func TestAngleDiff(t *testing.T) {
 	// Difference across the wrap boundary is small, not ~2π.
 	a := math.Pi - 0.1

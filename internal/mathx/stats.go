@@ -230,37 +230,14 @@ func MedianBuf(xs, buf []float64) (med float64, scratch []float64) {
 	return medianInPlace(tmp), buf
 }
 
-// MAD returns the median absolute deviation of xs: median(|x - median(x)|).
-// It is the robust scale estimator used by the wavelet noise threshold
-// (robust median estimation, reference [24] of the paper).
-func MAD(xs []float64) float64 {
-	_, mad := medianAndMAD(xs)
-	return mad
-}
-
-// medianAndMAD shares one scratch buffer between the median and the MAD:
-// the location estimate is selected first, then the buffer is overwritten
-// with absolute deviations for the scale estimate.
-func medianAndMAD(xs []float64) (med, mad float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	tmp := make([]float64, len(xs))
-	copy(tmp, xs)
-	med = medianInPlace(tmp)
-	for i, x := range xs {
-		tmp[i] = math.Abs(x - med)
-	}
-	return med, medianInPlace(tmp)
-}
-
-// MedianAndMADStdDev returns Median(xs) and the MAD as a consistent
-// estimator of the Gaussian standard deviation (MAD(xs) divided by
-// Φ⁻¹(3/4) ≈ 0.6745), computing the shared median once — the robust
-// location/scale pair every filtering stage asks for.
+// MedianAndMADStdDev returns Median(xs) and the median absolute deviation
+// MAD = median(|x − median(x)|) divided by Φ⁻¹(3/4) ≈ 0.6745, a consistent
+// estimator of the Gaussian standard deviation, computing the shared
+// median once — the robust location/scale pair every filtering stage asks
+// for (robust median estimation, reference [24] of the paper).
 func MedianAndMADStdDev(xs []float64) (med, sigma float64) {
-	med, mad := medianAndMAD(xs)
-	return med, mad / 0.6745
+	med, sigma, _ = MedianAndMADStdDevBuf(xs, nil)
+	return med, sigma
 }
 
 // MedianAndMADStdDevBuf is MedianAndMADStdDev with a caller-owned scratch
@@ -331,20 +308,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ArgMax returns the index of the largest element of xs, or -1 when empty.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // argLess is the order ArgSort and ArgSortBuf share: the usual < between

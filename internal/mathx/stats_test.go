@@ -82,17 +82,6 @@ func TestMedianDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestMAD(t *testing.T) {
-	// median = 2, deviations = {1,0,1}, MAD = 1
-	if got := MAD([]float64{1, 2, 3}); got != 1 {
-		t.Errorf("MAD = %v, want 1", got)
-	}
-	// Constant data has zero spread.
-	if got := MAD([]float64{4, 4, 4}); got != 0 {
-		t.Errorf("MAD of constants = %v, want 0", got)
-	}
-}
-
 func TestMADStdDevGaussianConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 20000)
@@ -130,12 +119,6 @@ func TestMinMaxArg(t *testing.T) {
 	}
 	if got := Max(xs); got != 5 {
 		t.Errorf("Max = %v", got)
-	}
-	if got := ArgMax(xs); got != 4 {
-		t.Errorf("ArgMax = %v", got)
-	}
-	if ArgMax(nil) != -1 {
-		t.Error("ArgMax of empty should be -1")
 	}
 }
 
@@ -525,7 +508,13 @@ func TestMedianAndMADStdDevMatchesSeparateCalls(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64() * 10
 		}
-		wantMed, wantSig := Median(xs), MAD(xs)/0.6745
+		// The reference takes the MAD from two plain Median calls.
+		wantMed := Median(xs)
+		dev := make([]float64, len(xs))
+		for i, x := range xs {
+			dev[i] = math.Abs(x - wantMed)
+		}
+		wantSig := Median(dev) / 0.6745
 		if med, sig := MedianAndMADStdDev(xs); med != wantMed || sig != wantSig {
 			t.Fatalf("MedianAndMADStdDev = (%v, %v), want (%v, %v)", med, sig, wantMed, wantSig)
 		}

@@ -69,15 +69,16 @@ func (c BackoffConfig) withDefaults() BackoffConfig {
 }
 
 // Backoff produces a deterministic, seeded backoff schedule. The zero
-// attempt is the first retry. Safe for one goroutine; each retry loop
-// owns its own Backoff.
+// attempt is the first retry. Safe for concurrent use: Delay draws from
+// one locked jitter stream, so retry loops that share a Backoff take
+// successive draws and their waits decorrelate.
 type Backoff struct {
 	cfg BackoffConfig
 
 	mu sync.Mutex
 	// rng is the seeded jitter stream, made by the first Delay: seeding a
-	// math/rand source fills a 607-word table, and most schedules (one per
-	// gateway request) never back off at all.
+	// math/rand source fills a 607-word table, and a schedule that never
+	// backs off never pays for it.
 	rng *rand.Rand
 }
 

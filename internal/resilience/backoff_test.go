@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -83,5 +84,34 @@ func TestBackoffDeterministicAcrossRuns(t *testing.T) {
 		if da, db := a.Delay(i), b.Delay(i); da != db {
 			t.Fatalf("attempt %d: %v vs %v with identical seeds", i, da, db)
 		}
+	}
+}
+
+// TestBackoffDelayConcurrent shares one Backoff among goroutines, as a
+// gateway's retry loops share its one: under -race, every Delay stays
+// inside its mode's envelope.
+func TestBackoffDelayConcurrent(t *testing.T) {
+	for _, jitter := range []JitterMode{JitterEqual, JitterFull} {
+		b := NewBackoff(BackoffConfig{Initial: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: jitter})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					attempt := i % 5
+					base := b.Base(attempt)
+					lo, hi := base, base+base/2
+					if jitter == JitterFull {
+						lo, hi = 0, base
+					}
+					if d := b.Delay(attempt); d < lo || d > hi {
+						t.Errorf("%v jitter: Delay(%d) = %v outside [%v, %v]", jitter, attempt, d, lo, hi)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

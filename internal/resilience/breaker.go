@@ -115,6 +115,22 @@ func (b *Breaker) Allow() error {
 	}
 }
 
+// Admits reports whether Allow would admit one request right now, without
+// changing any state: a router can skip an open, cooling breaker while the
+// open→half-open transition stays with the Allow at send time.
+func (b *Breaker) Admits() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.state {
+	case BreakerClosed:
+		return true
+	case BreakerOpen:
+		return b.cfg.Clock.Now().Sub(b.openedAt) >= b.cfg.OpenFor
+	default: // BreakerHalfOpen
+		return b.probesOut < b.cfg.HalfOpenProbes
+	}
+}
+
 // Record reports the outcome of an operation Allow admitted.
 func (b *Breaker) Record(success bool) {
 	b.mu.Lock()

@@ -102,3 +102,35 @@ func TestBreakerHalfOpenOnlyAfterCooldown(t *testing.T) {
 		t.Fatalf("Allow at cool-down end: %v", err)
 	}
 }
+
+// TestBreakerAdmitsAnswersAsAllow pins the read-only admission check: in
+// every state Admits answers as the next Allow does, and asking never
+// moves the breaker — a cooled-down open breaker stays open until an
+// Allow half-opens it.
+func TestBreakerAdmitsAnswersAsAllow(t *testing.T) {
+	clk := NewFakeClock()
+	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenFor: time.Second, Clock: clk})
+	step := func(name string, want bool, state BreakerState) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			if got := b.Admits(); got != want {
+				t.Fatalf("%s: Admits = %v, want %v", name, got, want)
+			}
+		}
+		if got := b.State(); got != state {
+			t.Fatalf("%s: state %v after Admits, want %v", name, got, state)
+		}
+		if err := b.Allow(); (err == nil) != want {
+			t.Fatalf("%s: Allow = %v after Admits = %v", name, err, want)
+		}
+	}
+	step("closed", true, BreakerClosed)
+	b.Record(false) // trips
+	step("open, cooling", false, BreakerOpen)
+	clk.Advance(time.Second)
+	step("open, cooled down", true, BreakerOpen) // this Allow takes the half-open probe
+	step("half-open, probe out", false, BreakerHalfOpen)
+	b.Record(true)
+	step("closed again", true, BreakerClosed)
+	b.Record(true)
+}

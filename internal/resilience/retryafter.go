@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -32,9 +33,12 @@ func RetryAfterSeconds(secs int64) time.Duration {
 // so callers with a fake clock stay deterministic. Unparseable input, a
 // zero/negative delta and a date in the past all yield the 1s floor — a
 // server that answered 429/503 is telling us to go away, never to hammer
-// it immediately — and every answer is at most MaxRetryAfter.
+// it immediately — and every answer is at most MaxRetryAfter. A delta too
+// long for an int64 reads as the longest wait (RFC 9111 §1.2.2): ParseInt
+// clamps it to ±MaxInt64, which RetryAfterSeconds caps or floors.
 func ParseRetryAfter(v string, now time.Time) time.Duration {
-	if secs, err := strconv.ParseInt(v, 10, 64); err == nil {
+	secs, err := strconv.ParseInt(v, 10, 64)
+	if err == nil || errors.Is(err, strconv.ErrRange) {
 		return RetryAfterSeconds(secs)
 	}
 	if t, err := http.ParseTime(v); err == nil {

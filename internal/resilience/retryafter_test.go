@@ -29,7 +29,8 @@ var retryAfterCases = []struct {
 	{"empty", "", time.Second},
 	{"garbage", "soon-ish", time.Second},
 	{"float delta is not a delta", "2.5", time.Second},
-	{"overflowing junk", "999999999999999999999999", time.Second},
+	{"delta overflowing int64 caps", "999999999999999999999999", MaxRetryAfter},
+	{"delta overflowing int64 negative floors", "-999999999999999999999999", time.Second},
 	{"delta below the cap", "3599", 3599 * time.Second},
 	{"delta at the cap", "3600", MaxRetryAfter},
 	{"delta wrapping negative caps", "10000000000", MaxRetryAfter},
@@ -41,8 +42,8 @@ var retryAfterCases = []struct {
 // TestParseRetryAfter pins both RFC 9110 forms plus both bounds:
 // delta-seconds, HTTP-dates in all three accepted formats, inputs that
 // must collapse to the 1s minimum instead of panicking or zeroing, and
-// deltas whose seconds would overflow a Duration, which cap at
-// MaxRetryAfter instead of wrapping.
+// deltas whose seconds would overflow a Duration or an int64, which cap
+// at MaxRetryAfter instead of wrapping (a negative one floors).
 func TestParseRetryAfter(t *testing.T) {
 	for _, tc := range retryAfterCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -102,16 +101,12 @@ type multiclassModel struct {
 //	crc     uint32 LE — IEEE CRC32 of payload
 //
 // The frame makes truncation and corruption first-class decode errors
-// instead of whatever json.Decoder happens to notice. Version 1 files
-// (bare JSON, no frame) are still readable: they start with '{', which can
-// never collide with the magic.
+// instead of whatever json.Decoder happens to notice. It is the only
+// format read: a version 1 file (bare JSON, no frame) fails on its magic.
 var modelMagic = [8]byte{'W', 'I', 'M', 'I', 'S', 'V', 'M', '2'}
 
 // modelVersion is bumped on breaking format changes.
 const modelVersion = 2
-
-// legacyModelVersion is the pre-frame bare-JSON format.
-const legacyModelVersion = 1
 
 // maxModelPayload bounds the declared payload length so a corrupt header
 // cannot provoke a giant allocation.
@@ -171,63 +166,48 @@ func (mc *Multiclass) SaveWithMeta(w io.Writer, meta Meta) error {
 	return nil
 }
 
-// LoadMulticlass reads a model written by Save/SaveWithMeta (or the legacy
-// bare-JSON v1 format) and validates its internal consistency.
+// LoadMulticlass reads a model written by Save/SaveWithMeta and validates
+// its internal consistency.
 func LoadMulticlass(r io.Reader) (*Multiclass, error) {
 	mc, _, err := LoadMulticlassMeta(r)
 	return mc, err
 }
 
 // LoadMulticlassMeta is LoadMulticlass plus the persisted training
-// metadata (zero for legacy v1 files, which predate it).
+// metadata.
 func LoadMulticlassMeta(r io.Reader) (*Multiclass, Meta, error) {
-	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, Meta{}, fmt.Errorf("svm: model truncated: empty input")
+	var magic [8]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return nil, Meta{}, fmt.Errorf("svm: model truncated reading magic: %w", err)
+	}
+	if magic != modelMagic {
+		return nil, Meta{}, fmt.Errorf("svm: bad model magic %q (not a WiMi SVM model)", magic[:])
+	}
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		return nil, Meta{}, fmt.Errorf("svm: model truncated reading payload length: %w", err)
+	}
+	n := binary.LittleEndian.Uint32(lenBuf[:])
+	if n == 0 || n > maxModelPayload {
+		return nil, Meta{}, fmt.Errorf("svm: implausible model payload length %d", n)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, Meta{}, fmt.Errorf("svm: model truncated reading payload (want %d bytes): %w", n, err)
+	}
+	var crcBuf [4]byte
+	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
+		return nil, Meta{}, fmt.Errorf("svm: model truncated reading checksum: %w", err)
+	}
+	if want, got := binary.LittleEndian.Uint32(crcBuf[:]), crc32.ChecksumIEEE(payload); want != got {
+		return nil, Meta{}, fmt.Errorf("svm: model payload corrupt: crc32 %08x, header says %08x", got, want)
 	}
 	var in multiclassModel
-	if first[0] == '{' {
-		// Legacy v1: bare JSON, no frame, no checksum.
-		if err := json.NewDecoder(br).Decode(&in); err != nil {
-			return nil, Meta{}, fmt.Errorf("svm: decoding model: %w", err)
-		}
-		if in.Version != legacyModelVersion {
-			return nil, Meta{}, fmt.Errorf("svm: unsupported model version %d", in.Version)
-		}
-	} else {
-		var magic [8]byte
-		if _, err := io.ReadFull(br, magic[:]); err != nil {
-			return nil, Meta{}, fmt.Errorf("svm: model truncated reading magic: %w", err)
-		}
-		if magic != modelMagic {
-			return nil, Meta{}, fmt.Errorf("svm: bad model magic %q (not a WiMi SVM model)", magic[:])
-		}
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return nil, Meta{}, fmt.Errorf("svm: model truncated reading payload length: %w", err)
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n == 0 || n > maxModelPayload {
-			return nil, Meta{}, fmt.Errorf("svm: implausible model payload length %d", n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, Meta{}, fmt.Errorf("svm: model truncated reading payload (want %d bytes): %w", n, err)
-		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return nil, Meta{}, fmt.Errorf("svm: model truncated reading checksum: %w", err)
-		}
-		if want, got := binary.LittleEndian.Uint32(crcBuf[:]), crc32.ChecksumIEEE(payload); want != got {
-			return nil, Meta{}, fmt.Errorf("svm: model payload corrupt: crc32 %08x, header says %08x", got, want)
-		}
-		if err := json.Unmarshal(payload, &in); err != nil {
-			return nil, Meta{}, fmt.Errorf("svm: decoding model payload: %w", err)
-		}
-		if in.Version != modelVersion {
-			return nil, Meta{}, fmt.Errorf("svm: unsupported model version %d", in.Version)
-		}
+	if err := json.Unmarshal(payload, &in); err != nil {
+		return nil, Meta{}, fmt.Errorf("svm: decoding model payload: %w", err)
+	}
+	if in.Version != modelVersion {
+		return nil, Meta{}, fmt.Errorf("svm: unsupported model version %d", in.Version)
 	}
 	mc, err := assembleMulticlass(in)
 	if err != nil {

@@ -2,12 +2,14 @@ package svm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-func trainedMulticlass(t *testing.T, kernel Kernel) (*Multiclass, [][]float64, []string) {
+func trainedMulticlass(t testing.TB, kernel Kernel) (*Multiclass, [][]float64, []string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	centers := map[string][2]float64{"a": {0, 0}, "b": {4, 0}, "c": {2, 4}}
@@ -57,47 +59,60 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// frameModel wraps a JSON payload in the v2 frame (magic, length, CRC),
+// so a validation row gets past the frame's own checks to the one it
+// targets.
+func frameModel(payload string) []byte {
+	b := append([]byte(nil), modelMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE([]byte(payload)))
+}
+
+// TestLoadRejectsGarbage drives each of the decoder's validation checks
+// with a well-framed v2 model that fails only that check, and pins that a
+// bare-JSON v1 file is refused on its magic.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadMulticlass(strings.NewReader("not json")); err == nil {
-		t.Error("non-JSON should error")
+	const machine = `{"kernel":{"kind":"linear"},"vectors":[[1]],"coefs":[1],"bias":0}`
+	for _, tc := range []struct {
+		name    string
+		in      []byte
+		errWant string
+	}{
+		{"not a model", []byte("not json"), "bad model magic"},
+		{"v1 bare JSON refused", []byte(`{"version":1,"classes":["a","b"],"pair_a":[0],"pair_b":[1],"models":[` + machine + `]}`),
+			"bad model magic"},
+		{"payload not JSON", frameModel("not json"), "decoding model payload"},
+		{"wrong version", frameModel(`{"version":99}`), "unsupported model version 99"},
+		{"framed v1 payload", frameModel(`{"version":1,"classes":["a","b"],"pair_a":[0],"pair_b":[1],"models":[` + machine + `]}`),
+			"unsupported model version 1"},
+		{"single class", frameModel(`{"version":2,"classes":["a"]}`), "model has 1 classes"},
+		{"machine count mismatch", frameModel(`{"version":2,"classes":["a","b"],"pair_a":[0],"pair_b":[1],"models":[]}`),
+			"model has 0 pairwise machines, want 1"},
+		{"duplicate classes", frameModel(`{"version":2,"classes":["a","a"],"pair_a":[0],"pair_b":[1],"models":[{}]}`),
+			"invalid class list"},
+		{"out-of-range pair index", frameModel(`{"version":2,"classes":["a","b"],"pair_a":[0],"pair_b":[7],"models":[` + machine + `]}`),
+			"machine 0 references classes 0/7 of 2"},
+		{"vectors/coefs mismatch", frameModel(`{"version":2,"classes":["a","b"],"pair_a":[0],"pair_b":[1],` +
+			`"models":[{"kernel":{"kind":"rbf","gamma":1},"vectors":[[1],[2]],"coefs":[1],"bias":0}]}`),
+			"machine 0 has 2 vectors and 1 coefs"},
+		{"unknown kernel", frameModel(`{"version":2,"classes":["a","b"],"pair_a":[0],"pair_b":[1],` +
+			`"models":[{"kernel":{"kind":"quantum"},"vectors":[[1]],"coefs":[1],"bias":0}]}`),
+			`unknown kernel kind "quantum"`},
+		{"gamma 0", frameModel(`{"version":2,"classes":["a","b"],"pair_a":[0],"pair_b":[1],` +
+			`"models":[{"kernel":{"kind":"rbf","gamma":0},"vectors":[[1]],"coefs":[1],"bias":0}]}`),
+			"rbf kernel needs positive gamma"},
+	} {
+		_, err := LoadMulticlass(bytes.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.errWant) {
+			t.Errorf("%s: error %v, want one mentioning %q", tc.name, err, tc.errWant)
+		}
 	}
-	if _, err := LoadMulticlass(strings.NewReader(`{"version":99}`)); err == nil {
-		t.Error("wrong version should error")
-	}
-	if _, err := LoadMulticlass(strings.NewReader(`{"version":1,"classes":["a"]}`)); err == nil {
-		t.Error("single class should error")
-	}
-	if _, err := LoadMulticlass(strings.NewReader(
-		`{"version":1,"classes":["a","b"],"pair_a":[0],"pair_b":[1],"models":[]}`)); err == nil {
-		t.Error("machine count mismatch should error")
-	}
-	if _, err := LoadMulticlass(strings.NewReader(
-		`{"version":1,"classes":["a","a"],"pair_a":[0],"pair_b":[1],"models":[{}]}`)); err == nil {
-		t.Error("duplicate classes should error")
-	}
-	// Machine with out-of-range class index.
-	if _, err := LoadMulticlass(strings.NewReader(
-		`{"version":1,"classes":["a","b"],"pair_a":[0],"pair_b":[7],` +
-			`"models":[{"kernel":{"kind":"linear"},"vectors":[[1]],"coefs":[1],"bias":0}]}`)); err == nil {
-		t.Error("out-of-range pair index should error")
-	}
-	// Vector/coefficient length mismatch.
-	if _, err := LoadMulticlass(strings.NewReader(
-		`{"version":1,"classes":["a","b"],"pair_a":[0],"pair_b":[1],` +
-			`"models":[{"kernel":{"kind":"rbf","gamma":1},"vectors":[[1],[2]],"coefs":[1],"bias":0}]}`)); err == nil {
-		t.Error("vectors/coefs mismatch should error")
-	}
-	// Unknown kernel kind.
-	if _, err := LoadMulticlass(strings.NewReader(
-		`{"version":1,"classes":["a","b"],"pair_a":[0],"pair_b":[1],` +
-			`"models":[{"kernel":{"kind":"quantum"},"vectors":[[1]],"coefs":[1],"bias":0}]}`)); err == nil {
-		t.Error("unknown kernel should error")
-	}
-	// RBF with nonpositive gamma.
-	if _, err := LoadMulticlass(strings.NewReader(
-		`{"version":1,"classes":["a","b"],"pair_a":[0],"pair_b":[1],` +
-			`"models":[{"kernel":{"kind":"rbf","gamma":0},"vectors":[[1]],"coefs":[1],"bias":0}]}`)); err == nil {
-		t.Error("gamma 0 should error")
+	// The rows' machine is valid on its own: framed with two distinct
+	// classes it loads, so each row above fails only on what it breaks.
+	if _, err := LoadMulticlass(bytes.NewReader(frameModel(
+		`{"version":2,"classes":["a","b"],"pair_a":[0],"pair_b":[1],"models":[` + machine + `]}`))); err != nil {
+		t.Errorf("the rows' valid base model: %v", err)
 	}
 }
 
@@ -132,28 +147,34 @@ func TestSaveWithMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsCorruptFrames drives the framed v2 decoder through every
-// damage mode a file can plausibly suffer: truncation at each frame
-// boundary, bit flips in every section, and an oversized length header.
-func TestLoadRejectsCorruptFrames(t *testing.T) {
+// savedModel is a trained model in the framed v2 format.
+func savedModel(t testing.TB) []byte {
 	mc, _, _ := trainedMulticlass(t, RBFKernel{Gamma: 0.5})
 	var buf bytes.Buffer
 	if err := mc.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-	if len(good) < 20 {
-		t.Fatalf("frame implausibly small: %d bytes", len(good))
+	if buf.Len() < 20 {
+		t.Fatalf("frame implausibly small: %d bytes", buf.Len())
 	}
+	return buf.Bytes()
+}
+
+type corruptFrame struct {
+	name    string
+	input   []byte
+	errWant string
+}
+
+// corruptFrames damages the good frame in every way a file can plausibly
+// suffer: truncation at each frame boundary, bit flips in every section,
+// and an oversized or zero length header.
+func corruptFrames(good []byte) []corruptFrame {
 	corrupt := func(mutate func(b []byte) []byte) []byte {
 		b := append([]byte(nil), good...)
 		return mutate(b)
 	}
-	cases := []struct {
-		name    string
-		input   []byte
-		errWant string
-	}{
+	return []corruptFrame{
 		{"empty", nil, "truncated"},
 		{"truncated magic", good[:5], "truncated"},
 		{"truncated length", good[:10], "truncated"},
@@ -171,7 +192,12 @@ func TestLoadRejectsCorruptFrames(t *testing.T) {
 			return b
 		}), "length"},
 	}
-	for _, tc := range cases {
+}
+
+// TestLoadRejectsCorruptFrames drives the framed v2 decoder through every
+// damage mode in corruptFrames.
+func TestLoadRejectsCorruptFrames(t *testing.T) {
+	for _, tc := range corruptFrames(savedModel(t)) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := LoadMulticlass(bytes.NewReader(tc.input))
 			if err == nil {
@@ -184,20 +210,46 @@ func TestLoadRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyV1 keeps the pre-frame bare-JSON format readable.
-func TestLoadLegacyV1(t *testing.T) {
-	legacy := `{"version":1,"classes":["a","b"],"pair_a":[0],"pair_b":[1],` +
-		`"models":[{"kernel":{"kind":"linear"},"vectors":[[1,0]],"coefs":[1],"bias":0.5}]}`
-	mc, meta, err := LoadMulticlassMeta(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
+// fuzzMaxPayload bounds the payload length a fuzz input may declare. The
+// decoder allocates the declared length before it reads the payload, and
+// a longer claim only ends in the truncation error the table pins; the
+// bound keeps each fuzz worker's memory small.
+const fuzzMaxPayload = 1 << 20
+
+// FuzzLoadMulticlass checks the decoder on arbitrary bytes, seeded with a
+// saved model and every corruptFrames case: it never panics, and any
+// model it accepts saves and loads again, with the second save
+// byte-identical to the first.
+func FuzzLoadMulticlass(f *testing.F) {
+	good := savedModel(f)
+	f.Add(good)
+	for _, tc := range corruptFrames(good) {
+		f.Add(tc.input)
 	}
-	if got := mc.Classes(); len(got) != 2 || got[0] != "a" {
-		t.Errorf("legacy classes: %v", got)
-	}
-	if meta.TrainedAt != "" || meta.Samples != 0 {
-		t.Errorf("legacy meta should be zero, got %+v", meta)
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 12 && binary.LittleEndian.Uint32(data[8:12]) > fuzzMaxPayload {
+			return
+		}
+		mc, meta, err := LoadMulticlassMeta(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := mc.SaveWithMeta(&first, meta); err != nil {
+			t.Fatalf("accepted model does not save: %v", err)
+		}
+		again, againMeta, err := LoadMulticlassMeta(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("saved model does not load again: %v", err)
+		}
+		var second bytes.Buffer
+		if err := again.SaveWithMeta(&second, againMeta); err != nil {
+			t.Fatalf("reloaded model does not save: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("save → load → save changed the bytes:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestKernelSpecRoundTrip(t *testing.T) {
