@@ -1,13 +1,14 @@
-.PHONY: check fmt build vet test race race-stress bench bench-allocs bench-compare bench-build bench-pairs microbench serve-smoke cluster-smoke hub-smoke svm-determinism alloc-guard profile fuzz
+.PHONY: check fmt build vet test race race-stress bench-build bench-pairs bench-once microbench serve-smoke cluster-smoke hub-smoke svm-determinism alloc-guard profile fuzz
 
 # The full pre-merge gate: formatting, vet, build, the SVM determinism
 # contract, the test suite under the race detector (the
 # transport/faults/serve layers are concurrent; -race is the point), the
 # repeated race run of serve's admission state, the steady-state
-# allocation guards, the binary smoke tests (single-node serve, the
-# gateway cluster drill with a backend killed mid-burst, then the
-# 1000-stream monitor-hub fleet drill) and the benchmark module's build.
-check: fmt vet build svm-determinism race race-stress alloc-guard serve-smoke cluster-smoke hub-smoke bench-build
+# allocation guards, one run of every package benchmark, the binary smoke
+# tests (single-node serve, the gateway cluster drill with a backend
+# killed mid-burst, then the 1000-stream monitor-hub fleet drill) and the
+# benchmark module's build.
+check: fmt vet build svm-determinism race race-stress alloc-guard bench-once serve-smoke cluster-smoke hub-smoke bench-build
 
 # fmt fails when gofmt would change any Go file in the repository (the
 # benchmark module included) and lists those files.
@@ -114,27 +115,14 @@ race-stress:
 	go test -race -count=10 -run 'TestAdmissionBoundsAndCounters|TestShedsWith429WhenSaturated|TestShutdownDrainsAdmittedRequests|TestBatchedIdentifyMatchesSingleHTTP|TestBatchEndpointSlotsMatchSingleResponses' ./internal/serve
 	go test -race -count=10 -run '^(TestRoutesAroundHeldBackend|TestRoutesAroundFastFailingBackend|TestBatchedRelayBitIdentical)$$' ./internal/gateway
 
-# bench runs the full evaluation harness and writes a dated benchmark record
-# (per-experiment wall time + component microbenchmarks) for bench-compare.
-bench:
-	go run ./cmd/wimi-bench -experiment all -bench-json BENCH_$(shell date +%Y-%m-%d).json > /dev/null
-
-# bench-allocs runs the allocation-focused go test benchmarks with
-# -benchmem, then refreshes the dated BENCH record (whose micro entries
-# carry allocs/op and bytes/op) so allocation behaviour is tracked over
-# time and gated by bench-compare's -alloc-threshold.
-bench-allocs:
-	go test -bench 'BenchmarkServeIdentify' -benchmem -benchtime 50x -run xxx ./internal/serve
-	go run ./cmd/wimi-bench -experiment fig18 -bench-json BENCH_$(shell date +%Y-%m-%d).json > /dev/null
-	@echo "wrote BENCH_$(shell date +%Y-%m-%d).json"
-
-# bench-compare diffs two benchmark records and fails on a >15% regression.
-# Defaults to the two most recent BENCH_*.json; override with OLD=/NEW=.
-OLD ?= $(word 2,$(shell ls -t BENCH_*.json 2>/dev/null))
-NEW ?= $(word 1,$(shell ls -t BENCH_*.json 2>/dev/null))
-bench-compare:
-	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "need two BENCH_*.json records (or set OLD= and NEW=)"; exit 2; }
-	go run ./cmd/benchdiff $(OLD) $(NEW)
+# bench-once runs every package benchmark under internal/ and cmd/ for
+# one iteration, without -race, so a benchmark that no longer builds or
+# fails its own checks is caught before someone times with it. It times
+# nothing: the layer method is go test -bench <name> -benchmem -count N,
+# alternated per side (EXPERIMENTS.md). The root package's benchmarks
+# regenerate the paper's figures and stay out.
+bench-once:
+	go test -count=1 -run '^$$' -bench . -benchtime 1x ./internal/... ./cmd/...
 
 # bench-pairs runs the whole-journey benchmark's WORKLOAD in PAIRS
 # alternated pairs of runs of BASE (any git revision) and of this checkout,

@@ -8,101 +8,33 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/experiment"
 	"repro/wimi"
 )
 
-// benchOptions is the paper-fidelity operating point: 20 trials per class
-// ("we repeat collecting the measurements 20 times"), accuracies averaged
-// over 3 train/test splits.
-func benchOptions() experiment.Options {
-	return experiment.Options{}
-}
-
-// runFig runs an experiment b.N times, printing the paper-style result on
-// the first iteration.
-func runFig[T fmt.Stringer](b *testing.B, name string, f func(experiment.Options) (T, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := f(benchOptions())
-		if err != nil {
-			b.Fatalf("%s: %v", name, err)
-		}
-		if i == 0 {
-			b.Logf("\n%s", res)
-		}
+// BenchmarkExperiments runs every experiment of experiment.Registry, in
+// SortedNames order, as a sub-benchmark named after it, at the
+// paper-fidelity operating point: 20 trials per class ("we repeat
+// collecting the measurements 20 times"), accuracies averaged over 3
+// train/test splits. Each prints its paper-style result on its first
+// iteration.
+func BenchmarkExperiments(b *testing.B) {
+	all := experiment.Registry()
+	for _, name := range experiment.SortedNames(all) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := all[name](experiment.Options{})
+				if err != nil {
+					b.Fatalf("%s: %v", name, err)
+				}
+				if i == 0 {
+					b.Logf("\n%s", res)
+				}
+			}
+		})
 	}
-}
-
-func BenchmarkFig02PhaseDistributions(b *testing.B)  { runFig(b, "fig2", experiment.Fig2) }
-func BenchmarkFig03AmplitudeNoise(b *testing.B)      { runFig(b, "fig3", experiment.Fig3) }
-func BenchmarkFig06SubcarrierVariance(b *testing.B)  { runFig(b, "fig6", experiment.Fig6) }
-func BenchmarkFig07DenoisingComparison(b *testing.B) { runFig(b, "fig7", experiment.Fig7) }
-func BenchmarkFig08AmplitudeVariance(b *testing.B)   { runFig(b, "fig8", experiment.Fig8) }
-func BenchmarkFig09MaterialFeatures(b *testing.B)    { runFig(b, "fig9", experiment.Fig9) }
-func BenchmarkFig10AntennaCombinations(b *testing.B) { runFig(b, "fig10", experiment.Fig10) }
-func BenchmarkFig12PhaseCalibration(b *testing.B)    { runFig(b, "fig12", experiment.Fig12) }
-func BenchmarkFig13SubcarrierChoice(b *testing.B)    { runFig(b, "fig13", experiment.Fig13) }
-func BenchmarkFig14DenoiseAblation(b *testing.B)     { runFig(b, "fig14", experiment.Fig14) }
-func BenchmarkFig15TenLiquids(b *testing.B)          { runFig(b, "fig15", experiment.Fig15) }
-func BenchmarkFig16SaltConcentrations(b *testing.B)  { runFig(b, "fig16", experiment.Fig16) }
-func BenchmarkFig17DistanceSweep(b *testing.B)       { runFig(b, "fig17", experiment.Fig17) }
-func BenchmarkFig18PacketSweep(b *testing.B)         { runFig(b, "fig18", experiment.Fig18) }
-func BenchmarkFig19ContainerSizes(b *testing.B)      { runFig(b, "fig19", experiment.Fig19) }
-func BenchmarkFig20ContainerMaterials(b *testing.B)  { runFig(b, "fig20", experiment.Fig20) }
-func BenchmarkFig21AntennaPairAccuracy(b *testing.B) { runFig(b, "fig21", experiment.Fig21) }
-
-func BenchmarkAblationWavelet(b *testing.B) {
-	runFig(b, "ablation-wavelet", experiment.AblationWavelet)
-}
-func BenchmarkAblationSubcarrierP(b *testing.B) {
-	runFig(b, "ablation-p", experiment.AblationSubcarrierCount)
-}
-func BenchmarkAblationClassifier(b *testing.B) {
-	runFig(b, "ablation-classifier", experiment.AblationClassifier)
-}
-func BenchmarkAblationMetal(b *testing.B) {
-	runFig(b, "ablation-metal", experiment.AblationMetalContainer)
-}
-func BenchmarkAblationSNR(b *testing.B) { runFig(b, "ablation-snr", experiment.AblationSNR) }
-func BenchmarkAblationSizeTransfer(b *testing.B) {
-	runFig(b, "ablation-size", experiment.AblationSizeTransfer)
-}
-func BenchmarkAblationAbsoluteFeature(b *testing.B) {
-	runFig(b, "ablation-absolute", experiment.AblationAbsoluteFeature)
-}
-func BenchmarkAblationMovingTarget(b *testing.B) {
-	runFig(b, "ablation-motion", experiment.AblationMovingTarget)
-}
-func BenchmarkExtensionConcentration(b *testing.B) {
-	runFig(b, "ext-concentration", experiment.ExtensionConcentration)
-}
-func BenchmarkExtensionDualBand(b *testing.B) {
-	runFig(b, "ext-dualband", experiment.ExtensionDualBand)
-}
-func BenchmarkAblationPlacement(b *testing.B) {
-	runFig(b, "ablation-placement", experiment.AblationPlacement)
-}
-func BenchmarkAblationAntennaCount(b *testing.B) {
-	runFig(b, "ablation-antennas", experiment.AblationAntennaCount)
-}
-func BenchmarkAblationWaterTemperature(b *testing.B) {
-	runFig(b, "ablation-temp", experiment.AblationWaterTemperature)
-}
-func BenchmarkExtensionMilkQuality(b *testing.B) {
-	runFig(b, "ext-milk", experiment.ExtensionMilkQuality)
-}
-func BenchmarkAblationInterferer(b *testing.B) {
-	runFig(b, "ablation-interferer", experiment.AblationInterferer)
-}
-func BenchmarkExtensionUnknownLiquid(b *testing.B) {
-	runFig(b, "ext-unknown", experiment.ExtensionUnknownLiquid)
-}
-func BenchmarkAblationAutoTune(b *testing.B) {
-	runFig(b, "ablation-autotune", experiment.AblationAutoTune)
 }
 
 // Component microbenchmarks: the pipeline's hot path.

@@ -3,11 +3,6 @@
 //
 //	wimi-bench -experiment fig15
 //	wimi-bench -experiment all
-//
-// With -bench-json the run also writes a machine-readable benchmark record
-// (wall time per experiment plus component microbenchmarks) that
-// cmd/benchdiff can compare against an earlier record to catch performance
-// regressions.
 package main
 
 import (
@@ -30,12 +25,6 @@ func main() {
 	}
 }
 
-// expTiming records one experiment's wall time for the -bench-json output.
-type expTiming struct {
-	name    string
-	elapsed time.Duration
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("wimi-bench", flag.ContinueOnError)
 	var (
@@ -46,7 +35,6 @@ func run(args []string) error {
 		markdown   = fs.String("markdown", "", "also write a markdown report to this path")
 		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (experiment 'all' only)")
 		workers    = fs.Int("workers", 0, "worker pool size inside each experiment (0 = GOMAXPROCS); results are identical at any setting")
-		benchJSON  = fs.String("bench-json", "", "write a benchmark record (per-experiment wall time + component microbenchmarks) to this JSON path")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this path (inspect with go tool pprof)")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this path when the run finishes")
 		list       = fs.Bool("list", false, "list experiments and exit")
@@ -99,42 +87,23 @@ func run(args []string) error {
 			}
 		}()
 	}
-	start := time.Now()
-	var timings []expTiming
 	switch {
 	case *name != "all":
 		r, ok := all[strings.ToLower(*name)]
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (use -list)", *name)
 		}
-		elapsed, err := runOne(*name, r, opt, report)
-		if err != nil {
-			return err
-		}
-		timings = []expTiming{{*name, elapsed}}
+		return runOne(*name, r, opt, report)
 	case *parallel <= 1:
 		for _, n := range experiment.SortedNames(all) {
-			elapsed, err := runOne(n, all[n], opt, report)
-			if err != nil {
+			if err := runOne(n, all[n], opt, report); err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}
-			timings = append(timings, expTiming{n, elapsed})
 		}
+		return nil
 	default:
-		var err error
-		timings, err = runParallel(experiment.SortedNames(all), all, opt, report, *parallel)
-		if err != nil {
-			return err
-		}
+		return runParallel(experiment.SortedNames(all), all, opt, report, *parallel)
 	}
-	if *benchJSON != "" {
-		rep := buildBenchReport(opt, *parallel, time.Since(start), timings, microBenchmarks())
-		if err := writeBenchJSON(*benchJSON, rep); err != nil {
-			return err
-		}
-		fmt.Printf("[benchmark record written to %s]\n", *benchJSON)
-	}
-	return nil
 }
 
 // writeHeapProfile snapshots the heap (after a forced GC, so the profile
@@ -156,7 +125,7 @@ func writeHeapProfile(path string) error {
 // in the canonical order: each experiment is printed (and reported) as soon
 // as it and all of its predecessors have finished, regardless of completion
 // order — every experiment is an independent, deterministic computation.
-func runParallel(names []string, all map[string]experiment.Runner, opt experiment.Options, report *reportWriter, workers int) ([]expTiming, error) {
+func runParallel(names []string, all map[string]experiment.Runner, opt experiment.Options, report *reportWriter, workers int) error {
 	type outcome struct {
 		body    string
 		elapsed time.Duration
@@ -186,39 +155,37 @@ func runParallel(names []string, all map[string]experiment.Runner, opt experimen
 		}(i, n)
 	}
 	defer wg.Wait()
-	timings := make([]expTiming, 0, len(names))
 	for i, n := range names {
 		<-done[i]
 		if results[i].err != nil {
-			return nil, fmt.Errorf("%s: %w", n, results[i].err)
+			return fmt.Errorf("%s: %w", n, results[i].err)
 		}
 		fmt.Println(results[i].body)
 		fmt.Printf("[%s completed in %v]\n\n", n, results[i].elapsed)
 		if report != nil {
 			if err := report.add(n, results[i].body, results[i].elapsed); err != nil {
-				return nil, fmt.Errorf("writing report: %w", err)
+				return fmt.Errorf("writing report: %w", err)
 			}
 		}
-		timings = append(timings, expTiming{n, results[i].elapsed})
 	}
-	return timings, nil
+	return nil
 }
 
-func runOne(name string, r experiment.Runner, opt experiment.Options, report *reportWriter) (time.Duration, error) {
+func runOne(name string, r experiment.Runner, opt experiment.Options, report *reportWriter) error {
 	start := time.Now()
 	res, err := r(opt)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
 	fmt.Println(res)
 	fmt.Printf("[%s completed in %v]\n\n", name, elapsed)
 	if report != nil {
 		if err := report.add(name, res.String(), elapsed); err != nil {
-			return 0, fmt.Errorf("writing report: %w", err)
+			return fmt.Errorf("writing report: %w", err)
 		}
 	}
-	return elapsed, nil
+	return nil
 }
 
 // reportWriter accumulates a markdown run record.

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/experiment"
 )
@@ -115,73 +113,5 @@ func TestRunParallelMatchesSerialOrder(t *testing.T) {
 	}
 	if !(i2 < i15 && i15 < iAbl && iAbl < iExt) {
 		t.Errorf("report out of canonical order: fig2=%d fig15=%d abl=%d ext=%d", i2, i15, iAbl, iExt)
-	}
-}
-
-func TestBenchJSONRecord(t *testing.T) {
-	old := microBenchTime
-	microBenchTime = 2 * time.Millisecond
-	defer func() { microBenchTime = old }()
-	path := filepath.Join(t.TempDir(), "bench.json")
-	err := run([]string{
-		"-experiment", "fig7", "-trials", "3", "-splits", "1",
-		"-workers", "2", "-bench-json", path,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("record is not valid JSON: %v", err)
-	}
-	if len(rep.Experiment) != 1 || rep.Experiment[0].Name != "fig7" {
-		t.Fatalf("experiments = %+v, want exactly fig7", rep.Experiment)
-	}
-	if rep.TotalWall <= 0 || rep.Experiment[0].WallNs < 0 {
-		t.Errorf("non-positive wall times: total=%d fig7=%d", rep.TotalWall, rep.Experiment[0].WallNs)
-	}
-	if rep.Trials != 3 || rep.Splits != 1 || rep.Workers != 2 {
-		t.Errorf("options not recorded: %+v", rep)
-	}
-	if len(rep.Micro) != 16 {
-		t.Fatalf("%d microbenchmarks, want 16 (5 component + 1 predict + 3 serve + 2 pipeline + 3 gateway + 2 hub)", len(rep.Micro))
-	}
-	for _, m := range rep.Micro {
-		if m.NsPerOp <= 0 {
-			t.Errorf("micro %s has ns/op %v", m.Name, m.NsPerOp)
-		}
-	}
-	// The serving path must be in the record so benchdiff gates it.
-	serveNames := map[string]bool{}
-	for _, m := range rep.Micro {
-		serveNames[m.Name] = true
-	}
-	for _, want := range []string{
-		"core-identify-pooled",
-		"pipeline-identify-20", "pipeline-identify-100",
-		"svm-predict-seq8",
-		"BenchmarkServeIdentify/single",
-		"BenchmarkServeIdentify/batched8-cold",
-		"BenchmarkGatewayRelay/single",
-		"BenchmarkGatewayRelay/batched8",
-		"BenchmarkGatewayRelay/coalesced",
-		"BenchmarkHubStreams/pass-32x240",
-		"BenchmarkHubStreams/stride-heavy",
-	} {
-		if !serveNames[want] {
-			t.Errorf("micro record is missing %s", want)
-		}
-	}
-	// The FFT plan transform must stay allocation-free in steady state —
-	// the same guarantee TestPlanTransformZeroAllocs pins, re-checked here
-	// on the shipped measurement path.
-	for _, m := range rep.Micro[:2] {
-		if m.AllocsPerOp > 0.5 {
-			t.Errorf("micro %s allocates %.2f per op, want 0", m.Name, m.AllocsPerOp)
-		}
 	}
 }

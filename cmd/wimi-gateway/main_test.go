@@ -197,13 +197,11 @@ func TestClusterSmoke(t *testing.T) {
 		_ = b2.proc.Process.Kill()
 	}()
 
-	benchPath := filepath.Join(dir, "bench.json")
 	load := exec.Command(loadBin,
 		"-target", base,
 		"-duration", "2s",
 		"-concurrency", "4",
 		"-sessions", "4",
-		"-bench-json", benchPath,
 	)
 	out, err := load.CombinedOutput()
 	if err != nil {
@@ -223,14 +221,6 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	if failed != 0 {
 		t.Fatalf("%d failed requests while a backend died mid-burst (want 0):\n%s", failed, out)
-	}
-
-	rep, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(rep), `"GatewayIdentify/p50"`) {
-		t.Errorf("bench record missing GatewayIdentify entries:\n%s", rep)
 	}
 
 	// The cluster status must show the dead backend unhealthy and the

@@ -1,13 +1,10 @@
 // wimi-load is the cluster load harness: it fires identify requests at
 // a wimi-gateway (or a bare wimi-serve) in open-loop (target RPS) or
-// closed-loop (fixed concurrency) mode, measures the latency
-// distribution, and reports a benchdiff-compatible JSON record so
-// cluster serving performance is gated the same way the offline
-// pipeline is.
+// closed-loop (fixed concurrency) mode and measures the latency
+// distribution:
 //
 //	wimi-load -target http://127.0.0.1:8080 -duration 5s -concurrency 8
-//	wimi-load -target http://127.0.0.1:8080 -rps 200 -duration 10s \
-//	  -bench-json BENCH_cluster.json
+//	wimi-load -target http://127.0.0.1:8080 -rps 200 -duration 10s
 //
 // The stdout summary is one parseable line:
 //
@@ -28,7 +25,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,12 +88,10 @@ func run(args []string, out *os.File) error {
 		duration    = fs.Duration("duration", 5*time.Second, "how long to generate load")
 		rps         = fs.Float64("rps", 0, "open-loop target requests/sec (0 = closed loop)")
 		concurrency = fs.Int("concurrency", 4, "closed-loop workers, or open-loop in-flight cap")
-		sessions    = fs.Int("sessions", 4, "distinct measurement sessions to cycle through (spreads the gateway's content hash)")
+		sessions    = fs.Int("sessions", 4, "distinct measurement sessions to cycle through")
 		seed        = fs.Int64("seed", 1, "session synthesis seed")
 		timeout     = fs.Duration("timeout", 10*time.Second, "per-request client timeout")
 		batch       = fs.Int("batch", 1, "requests per POST /v1/identify/batch round trip (1 = single /v1/identify; >1 needs a wimi-serve target)")
-		benchJSON   = fs.String("bench-json", "", "write a benchdiff-compatible record here")
-		benchName   = fs.String("bench-name", "GatewayIdentify", "name prefix for the -bench-json micro entries")
 		serveStats  = fs.Bool("serve-stats", false, "after the run, read the target's stats (gateway /v1/cluster, falling back to serve /readyz) and print its batching/coalescing counters")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -180,12 +174,6 @@ func run(args []string, out *os.File) error {
 		cnt.ok.Load(), cnt.shed.Load(), cnt.failed.Load(), cnt.dropped.Load(),
 		p50.Round(time.Millisecond), p90.Round(time.Millisecond), p99.Round(time.Millisecond), achieved)
 
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *benchName, elapsed, sorted, achieved); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wimi-load: benchmark record written to %s\n", *benchJSON)
-	}
 	if *serveStats {
 		if err := printServeStats(out, client, *target); err != nil {
 			return err
@@ -385,8 +373,8 @@ func openLoop(ctx context.Context, rps float64, maxInflight int, fire func(), cn
 
 // makeBodies synthesises n distinct identify request bodies: sessions
 // simulated over the paper's material set, encoded exactly as the wire
-// format expects. Distinct bodies mean distinct content hashes, so a
-// gateway spreads them across its backends.
+// format expects. Distinct bodies are never coalesced by a gateway, so
+// each one costs a backend its own identification.
 func makeBodies(n int, seed int64) ([][]byte, error) {
 	db := material.PaperDatabase()
 	names := db.Names()
@@ -435,50 +423,4 @@ func encodeIdentify(s *csi.Session) ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(serve.IdentifyRequest{Baseline: baseline, Target: target})
-}
-
-// benchReport mirrors the schema cmd/benchdiff gates on (a subset of
-// wimi-bench's record: the comparator ignores fields it does not know).
-type benchReport struct {
-	Date       string       `json:"date"`
-	GoVersion  string       `json:"go_version"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	TotalWall  int64        `json:"total_wall_ns"`
-	Micro      []benchMicro `json:"micro"`
-}
-
-type benchMicro struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-}
-
-func writeBenchJSON(path, name string, elapsed time.Duration, sorted []time.Duration, rps float64) error {
-	rep := benchReport{
-		Date:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		TotalWall:  elapsed.Nanoseconds(),
-		Micro: []benchMicro{
-			{Name: name + "/p50", NsPerOp: float64(percentile(sorted, 50).Nanoseconds())},
-			{Name: name + "/p90", NsPerOp: float64(percentile(sorted, 90).Nanoseconds())},
-			{Name: name + "/p99", NsPerOp: float64(percentile(sorted, 99).Nanoseconds())},
-			// Mean time between completions: the throughput inverse, in the
-			// same lower-is-better unit the comparator gates on.
-			{Name: name + "/ns-per-request", NsPerOp: nsPerRequest(rps)},
-		},
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func nsPerRequest(rps float64) float64 {
-	if rps <= 0 {
-		return 0
-	}
-	return float64(time.Second.Nanoseconds()) / rps
 }

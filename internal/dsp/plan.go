@@ -15,7 +15,8 @@ import (
 // steady-state heap allocations.
 //
 // A Plan owns scratch buffers and is therefore NOT safe for concurrent
-// use; create one plan per goroutine (see PooledPlan for a shared cache).
+// use; borrow one per goroutine with PooledPlan and give it back with
+// ReleasePlan.
 // Results are bit-identical to the one-shot FFT/IFFT functions.
 type Plan struct {
 	n  int
@@ -23,10 +24,10 @@ type Plan struct {
 	bs *bluesteinPlan // non-nil otherwise
 }
 
-// NewPlan returns a plan for transforms of length n (n ≥ 1).
-func NewPlan(n int) *Plan {
+// newPlan returns a plan for transforms of length n (n ≥ 1).
+func newPlan(n int) *Plan {
 	if n < 1 {
-		panic(fmt.Sprintf("dsp: NewPlan length %d, want ≥ 1", n))
+		panic(fmt.Sprintf("dsp: plan length %d, want ≥ 1", n))
 	}
 	p := &Plan{n: n}
 	if n&(n-1) == 0 {
@@ -219,7 +220,7 @@ var planCache sync.Map // int → *sync.Pool of *Plan
 func PooledPlan(n int) *Plan {
 	v, ok := planCache.Load(n)
 	if !ok {
-		v, _ = planCache.LoadOrStore(n, &sync.Pool{New: func() any { return NewPlan(n) }})
+		v, _ = planCache.LoadOrStore(n, &sync.Pool{New: func() any { return newPlan(n) }})
 	}
 	return v.(*sync.Pool).Get().(*Plan)
 }

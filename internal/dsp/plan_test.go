@@ -43,7 +43,7 @@ func planRandComplex(n int, seed int64) []complex128 {
 func TestPlanMatchesNaiveDFT(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 8, 12, 16, 30, 64, 100} {
 		x := planRandComplex(n, int64(n))
-		p := NewPlan(n)
+		p := newPlan(n)
 		if p.Len() != n {
 			t.Fatalf("n=%d: Len() = %d", n, p.Len())
 		}
@@ -70,7 +70,7 @@ func TestPlanMatchesFFTBitExact(t *testing.T) {
 	// plan must agree with them exactly, not just within tolerance.
 	for _, n := range []int{8, 30, 64, 90} {
 		x := planRandComplex(n, 42+int64(n))
-		p := NewPlan(n)
+		p := newPlan(n)
 		got := make([]complex128, n)
 		p.Transform(got, x)
 		for i, w := range FFT(x) {
@@ -92,7 +92,7 @@ func TestPlanInPlace(t *testing.T) {
 		x := planRandComplex(n, 7)
 		want := FFT(x)
 		buf := append([]complex128(nil), x...)
-		p := NewPlan(n)
+		p := newPlan(n)
 		p.Transform(buf, buf)
 		for i := range buf {
 			if buf[i] != want[i] {
@@ -103,7 +103,7 @@ func TestPlanInPlace(t *testing.T) {
 }
 
 func TestPlanLengthMismatchPanics(t *testing.T) {
-	p := NewPlan(8)
+	p := newPlan(8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on length mismatch")
@@ -117,7 +117,7 @@ func TestPlanLengthMismatchPanics(t *testing.T) {
 // radix-2 and Bluestein code paths.
 func TestPlanTransformZeroAllocs(t *testing.T) {
 	for _, n := range []int{64, 90} {
-		p := NewPlan(n)
+		p := newPlan(n)
 		src := planRandComplex(n, 3)
 		dst := make([]complex128, n)
 		allocs := testing.AllocsPerRun(100, func() {
@@ -132,7 +132,7 @@ func TestPlanTransformZeroAllocs(t *testing.T) {
 
 func BenchmarkPlanTransformPow2(b *testing.B) {
 	const n = 256
-	p := NewPlan(n)
+	p := newPlan(n)
 	src := planRandComplex(n, 1)
 	dst := make([]complex128, n)
 	b.ReportAllocs()
@@ -144,7 +144,7 @@ func BenchmarkPlanTransformPow2(b *testing.B) {
 
 func BenchmarkPlanTransformBluestein(b *testing.B) {
 	const n = 90
-	p := NewPlan(n)
+	p := newPlan(n)
 	src := planRandComplex(n, 1)
 	dst := make([]complex128, n)
 	b.ReportAllocs()

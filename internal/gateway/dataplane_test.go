@@ -27,7 +27,7 @@ import (
 // startServeBackend runs a real serve.Server (batch endpoint included)
 // on an httptest listener — the clean-link counterpart of chaosBackend.
 // A non-nil gate stalls its single /v1/identify path until opened.
-func startServeBackend(t *testing.T, fx *clusterFixture, gate *flushGate) *httptest.Server {
+func startServeBackend(t testing.TB, fx *clusterFixture, gate *flushGate) *httptest.Server {
 	t.Helper()
 	s, err := serve.New(serve.Config{
 		Registry:       fx.registry,

@@ -131,7 +131,7 @@ func newTestGateway(t *testing.T, cfg Config, fakes ...*fakeBackend) (*Gateway, 
 }
 
 // waitRoutable blocks until at least n backends are routable.
-func waitRoutable(t *testing.T, g *Gateway, n int) {
+func waitRoutable(t testing.TB, g *Gateway, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -29,7 +29,7 @@ var (
 // is too weak for the change-point detector to see its appearance reliably.
 var fixtureLiquids = []string{material.Honey, material.PureWater, material.Soy}
 
-func testIdentifier(t *testing.T) *core.Identifier {
+func testIdentifier(t testing.TB) *core.Identifier {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		var sessions []*csi.Session
@@ -64,7 +64,7 @@ func testIdentifier(t *testing.T) *core.Identifier {
 // liquidStream builds a continuous packet stream: quiet, then the liquid,
 // then quiet again — the single-NIC phase-continuous construction the
 // monitor tests use.
-func liquidStream(t *testing.T, liquid string, quietLen, targetLen int, seed int64) []csi.Packet {
+func liquidStream(t testing.TB, liquid string, quietLen, targetLen int, seed int64) []csi.Packet {
 	t.Helper()
 	sc := simulate.Default()
 	if liquid != "" {

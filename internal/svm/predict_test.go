@@ -255,3 +255,28 @@ func TestPredictGramPanicsWithoutIndex(t *testing.T) {
 	}()
 	mc.PredictGram(make([]float64, len(x)))
 }
+
+// BenchmarkPredictSeq8 isolates the classifier stage: eight queries
+// classified one at a time over the deduplicated support-vector pool with
+// caller-owned scratch, so the number is pure kernel arithmetic.
+func BenchmarkPredictSeq8(b *testing.B) {
+	x, labels := clusteredData(12, []string{"water", "honey", "oil", "milk"}, 8, 99)
+	mc, err := TrainMulticlass(x, labels, RBFKernel{Gamma: 0.5}, Config{C: 10, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// One query per class plus repeats.
+	queries := make([][]float64, 8)
+	for i := range queries {
+		queries[i] = x[(i*len(x)/8+i)%len(x)]
+	}
+	var sc PredictScratch
+	mc.PredictWithConfidenceScratch(queries[0], &sc) // build the pool before timing
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			mc.PredictWithConfidenceScratch(q, &sc)
+		}
+	}
+}

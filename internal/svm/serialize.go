@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -108,9 +109,15 @@ var modelMagic = [8]byte{'W', 'I', 'M', 'I', 'S', 'V', 'M', '2'}
 // modelVersion is bumped on breaking format changes.
 const modelVersion = 2
 
-// maxModelPayload bounds the declared payload length so a corrupt header
-// cannot provoke a giant allocation.
+// maxModelPayload bounds the declared payload length a header may state.
 const maxModelPayload = 1 << 30
+
+// payloadChunk is how much payload the decoder reads at a time. Its
+// buffer grows only as bytes arrive, so a header that declares more than
+// the input holds costs in proportion to what the input holds, not to
+// what the header claims. A payload of up to payloadChunk bytes is still
+// one exact-size allocation.
+const payloadChunk = 1 << 20
 
 // Save writes the trained multiclass model in the framed v2 format with
 // empty metadata. Use SaveWithMeta to record provenance.
@@ -191,8 +198,8 @@ func LoadMulticlassMeta(r io.Reader) (*Multiclass, Meta, error) {
 	if n == 0 || n > maxModelPayload {
 		return nil, Meta{}, fmt.Errorf("svm: implausible model payload length %d", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return nil, Meta{}, fmt.Errorf("svm: model truncated reading payload (want %d bytes): %w", n, err)
 	}
 	var crcBuf [4]byte
@@ -214,6 +221,27 @@ func LoadMulticlassMeta(r io.Reader) (*Multiclass, Meta, error) {
 		return nil, Meta{}, err
 	}
 	return mc, in.Meta, nil
+}
+
+// readPayload reads exactly n bytes, payloadChunk at a time, growing its
+// buffer only as they arrive. Its errors are io.ReadFull's for one
+// n-byte read: io.EOF when no byte arrived, io.ErrUnexpectedEOF when
+// some did.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	payload := make([]byte, 0, min(n, payloadChunk))
+	for len(payload) < n {
+		chunk := min(n-len(payload), payloadChunk)
+		payload = slices.Grow(payload, chunk)
+		k, err := io.ReadFull(r, payload[len(payload):len(payload)+chunk])
+		payload = payload[:len(payload)+k]
+		if err == io.EOF && len(payload) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return payload, nil
 }
 
 // assembleMulticlass validates a decoded model and reconstructs the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -210,11 +211,45 @@ func TestLoadRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// fuzzMaxPayload bounds the payload length a fuzz input may declare. The
-// decoder allocates the declared length before it reads the payload, and
-// a longer claim only ends in the truncation error the table pins; the
-// bound keeps each fuzz worker's memory small.
-const fuzzMaxPayload = 1 << 20
+// TestLoadAllocatesWhatIsPresent pins that a header cannot make the
+// decoder allocate what it declares: 12 bytes claiming a 64 MiB payload
+// fail as truncated after allocating about one read chunk.
+func TestLoadAllocatesWhatIsPresent(t *testing.T) {
+	input := binary.LittleEndian.AppendUint32(append([]byte(nil), modelMagic[:]...), 64<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadMulticlass(bytes.NewReader(input))
+	runtime.ReadMemStats(&after)
+	const want = "model truncated reading payload (want 67108864 bytes)"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want one containing %q", err, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
+		t.Errorf("a 12-byte input allocated %d bytes, want under 2 MiB", alloc)
+	}
+}
+
+// TestLoadReadsPayloadAcrossChunks covers payloads longer than one read
+// chunk: one cut at a chunk boundary fails as io.ReadFull would fail one
+// read of the whole payload, and one present in full reaches the
+// payload's own checks.
+func TestLoadReadsPayloadAcrossChunks(t *testing.T) {
+	cut := frameModel(strings.Repeat(" ", 3<<20))[:12+payloadChunk]
+	whole := frameModel(`{"version":99}` + strings.Repeat(" ", 5<<19))
+	for _, tc := range []struct {
+		name    string
+		in      []byte
+		errWant string
+	}{
+		{"1 of 3 MiB present", cut, "model truncated reading payload (want 3145728 bytes): unexpected EOF"},
+		{"2.5 MiB present", whole, "unsupported model version 99"},
+	} {
+		_, err := LoadMulticlass(bytes.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.errWant) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.errWant)
+		}
+	}
+}
 
 // FuzzLoadMulticlass checks the decoder on arbitrary bytes, seeded with a
 // saved model and every corruptFrames case: it never panics, and any
@@ -227,9 +262,6 @@ func FuzzLoadMulticlass(f *testing.F) {
 		f.Add(tc.input)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) >= 12 && binary.LittleEndian.Uint32(data[8:12]) > fuzzMaxPayload {
-			return
-		}
 		mc, meta, err := LoadMulticlassMeta(bytes.NewReader(data))
 		if err != nil {
 			return
